@@ -42,6 +42,7 @@ from .kernelspace import (
     gram_matrix,
     k_of,
     pairing,
+    pairing_matrix,
     positive_type_check,
     reconstruct_embedding,
     signature_count,
@@ -74,6 +75,7 @@ __all__ = [
     "op_unipotent",
     "orbit_gram",
     "pairing",
+    "pairing_matrix",
     "positive_type_check",
     "reconstruct_embedding",
     "signature_count",

@@ -44,8 +44,9 @@ from .kernelspace import (
     cvec,
     eta1,
     eta2,
-    hyperbolic_orbit_gram,
     pairing,
+    pairing_matrix,
+    phase_corrected_gram,
 )
 from .su11 import ParabolicCoords, SU11Element, bruhat_factor, factor_parabolic
 
@@ -296,8 +297,8 @@ def compare_up_to_phase(
                         seen.add(key)
                         detectors.append(probe)
 
-    pair_a = np.array([[pairing(ia, q) for q in detectors] for ia, _ in images])
-    pair_b = np.array([[pairing(ib, q) for q in detectors] for _, ib in images])
+    pair_a = pairing_matrix([ia for ia, _ in images], detectors)
+    pair_b = pairing_matrix([ib for _, ib in images], detectors)
 
     scale = max(1.0, float(np.max(np.abs(pair_a))), float(np.max(np.abs(pair_b))))
     if exact:
@@ -333,7 +334,9 @@ def orbit_vectors(model: RepModel, elements: Sequence[SU11Element]) -> list[Form
 def orbit_gram(model: RepModel, elements: Sequence[SU11Element]) -> np.ndarray:
     """Orbit Gram at the sigma-fixed basepoint; one positive eigenvalue for
     parameters in the constructible region."""
-    return hyperbolic_orbit_gram(orbit_vectors(model, elements), basepoint(model), pairing)
+    vecs = orbit_vectors(model, elements)
+    z = pairing_matrix(vecs, vecs + [basepoint(model)])
+    return phase_corrected_gram(z[:, :-1], z[:, -1])
 
 
 def model_cartan(model: RepModel, m1: SU11Element, m2: SU11Element) -> float:

@@ -11,16 +11,21 @@ Subcommands:
 
 Reports are deterministic for a fixed seed: JSON with sorted keys, CSV
 with '.' decimals.  Exit codes: 0 all checks passed, 1 a check failed,
-2 usage or parameter error.  The environment variable
-HOROCOMB_TOLERANCE_SCALE multiplies every tolerance.
+2 usage or parameter error (malformed or out-of-range arguments, or a
+HOROCOMB_TOLERANCE_SCALE that is not a positive number), 3 internal error.
+Errors after parsing print {"error": ...} as JSON on stderr, never a
+traceback.  The environment variable HOROCOMB_TOLERANCE_SCALE multiplies
+every tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -42,10 +47,18 @@ from .verification import check, run_suite
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _tol_scale() -> float:
-    return float(os.environ.get("HOROCOMB_TOLERANCE_SCALE", "1"))
+    text = os.environ.get("HOROCOMB_TOLERANCE_SCALE", "1")
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValidationError(f"HOROCOMB_TOLERANCE_SCALE must be a positive number, got {text!r}")
+    return scale
 
 
 def _emit_json(payload: dict) -> None:
@@ -56,20 +69,28 @@ def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _parse_rational_pair(text: str) -> tuple[Fraction, Fraction]:
+def _rational(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{flag} expects a rational such as 3/2, got {text!r}") from None
+
+
+def _parse_rational_pair(text: str, flag: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValidationError(f"expected 're,im', got {text!r}")
-    return Fraction(parts[0].strip()), Fraction(parts[1].strip())
+        raise ValidationError(f"{flag} expects 're,im', got {text!r}")
+    return _rational(parts[0], flag), _rational(parts[1], flag)
 
 
 def _element_from_args(args) -> SU11Element:
     if args.lam is not None:
-        return su11.g(Fraction(args.lam), Fraction(args.b if args.b is not None else 0))
+        b = _rational(args.b, "--b") if args.b is not None else Fraction(0)
+        return su11.g(_rational(args.lam, "--lam"), b)
     if args.alpha is None:
         raise ValidationError("give either --lam [--b] or --alpha [--beta]")
-    a_re, a_im = _parse_rational_pair(args.alpha)
-    b_re, b_im = _parse_rational_pair(args.beta) if args.beta else (Fraction(0), Fraction(0))
+    a_re, a_im = _parse_rational_pair(args.alpha, "--alpha")
+    b_re, b_im = _parse_rational_pair(args.beta, "--beta") if args.beta else (Fraction(0), Fraction(0))
     return SU11Element(a_re, a_im, b_re, b_im)
 
 
@@ -240,6 +261,17 @@ def cmd_gns_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="horocomb", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -256,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maps", help="SL2(R) and SO(1,2) images of an element")
     add_element_args(p)
-    p.add_argument("--sample", type=int, default=100)
+    p.add_argument("--sample", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_maps)
 
@@ -275,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--b-start", type=float, default=1.0)
     p.add_argument("--b-ratio", type=float, default=10.0)
-    p.add_argument("--steps", type=int, default=9)
+    p.add_argument("--steps", type=_int_at_least(2), default=9)
     p.set_defaults(func=cmd_model_verify)
 
     p = sub.add_parser("combine", help="horospherical combination at fixed t")
@@ -290,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--b-start", type=float, default=1.0)
     p.add_argument("--b-ratio", type=float, default=10.0)
-    p.add_argument("--steps", type=int, default=9)
+    p.add_argument("--steps", type=_int_at_least(2), default=9)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_cartan_limit)
 
     p = sub.add_parser("gns-check", help="orbit Gram eigenvalues and signature")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--sample", type=int, default=8)
+    p.add_argument("--sample", type=_int_at_least(3), default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gns_check)
 
@@ -319,6 +351,16 @@ def main(argv=None) -> int:
             payload["verdict"] = verdict
         sys.stderr.write(json.dumps(payload) + "\n")
         return EXIT_USAGE
+    except Exception as exc:  # a bug must not read as "check failed"
+        frames = traceback.extract_tb(exc.__traceback__)
+        here = os.path.dirname(os.path.abspath(__file__))
+        frame = next((f for f in reversed(frames) if f.filename.startswith(here)), frames[-1])
+        payload = {
+            "error": f"internal error: {type(exc).__name__}: {exc}",
+            "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        }
+        sys.stderr.write(json.dumps(payload) + "\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,6 +18,10 @@ proximity.  This keeps operator pipelines decidable: |b - d|^t is wildly
 non-Lipschitz at b = d, so nearby-but-distinct parameters must never be
 merged.
 
+`pairing` pairs two vectors; `pairing_matrix` pairs two families of
+vectors at once through numpy products and is what every Gram and
+comparison uses.
+
 Also here: Gram/signature utilities, the phase-corrected orbit Gram of a
 family of unit vectors (one positive eigenvalue for a genuine isometric
 orbit), the positive-type check for cosh-distance kernels and their
@@ -27,7 +31,6 @@ from a Gram matrix.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,39 +186,80 @@ def cvec(ctx: KernelContext, b) -> FormalVector:
     return FormalVector(ctx, {csym(b): 1.0})
 
 
-def _symbol_pair(ctx: KernelContext, s1: Symbol, s2: Symbol) -> complex:
-    k1, k2 = s1[0], s2[0]
-    if k1 == "c" and k2 == "c":
-        return ctx.c_pair(s1[1], s2[1])
-    if k1 == "c" or k2 == "c":
-        return 0.0
-    return 1.0 if k1 != k2 else 0.0  # <eta1,eta2> = 1, isotropic diagonals
-
-
 def pairing(u: FormalVector, v: FormalVector) -> complex:
-    """The form B: linear in u, antilinear in v."""
+    """The form B: linear in u, antilinear in v (one pair; families of
+    pairs go through `pairing_matrix`)."""
     if u.ctx is not v.ctx:
         raise UsageError("vectors from different contexts")
     total = 0.0 + 0.0j
     for s1, c1 in u.coeffs.items():
         for s2, c2 in v.coeffs.items():
-            p = _symbol_pair(u.ctx, s1, s2)
-            if p != 0.0:
-                total += c1 * c2.conjugate() * p
+            if s1[0] == "c":
+                if s2[0] == "c":
+                    total += c1 * c2.conjugate() * u.ctx.c_pair(s1[1], s2[1])
+            elif s2[0] != "c" and s1 != s2:  # <eta1,eta2> = 1, isotropic diagonals
+                total += c1 * c2.conjugate()
     return complex(total)
+
+
+PAIR_BLOCK = 64  # rows of the C-symbol Gram block built at a time
+
+
+def _power_and_delta(ctx: KernelContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|x|^t and Delta(x) = sign(x) |x|^t Im K1, elementwise."""
+    ax = np.abs(x) ** ctx.t
+    return ax, np.sign(x) * ax * ctx.k1.imag
+
+
+def pairing_matrix(us: Sequence[FormalVector], vs: Sequence[FormalVector]) -> np.ndarray:
+    """[B(u_i, v_j)] for two families, as numpy products.
+
+    The C-parameters of both families are interned in one dict keyed by the
+    exact Fraction's canonical (numerator, denominator), which hashes faster
+    than the Fraction, so symbols merge only when equal.  With A, W the
+    packed C-coefficients and G the C-symbol Gram (the `c_pair` formula,
+    term for term), the C-part is A G W^H; G is built PAIR_BLOCK rows at a
+    time, so no (symbols x symbols) array is ever held.
+    """
+    vecs = [*us, *vs]
+    n = len(us)
+    if not n or len(vecs) == n:
+        return np.zeros((n, len(vecs) - n), dtype=complex)
+    ctx = vecs[0].ctx
+    if any(v.ctx is not ctx for v in vecs):
+        raise UsageError("vectors from different contexts")
+    index: dict[tuple[int, int], int] = {}
+    eta = np.zeros((len(vecs), 2), dtype=complex)
+    rows, cols, vals = [], [], []
+    for i, v in enumerate(vecs):
+        for s, c in v.coeffs.items():
+            if s[0] == "c":
+                rows.append(i)
+                cols.append(index.setdefault((s[1].numerator, s[1].denominator), len(index)))
+                vals.append(c)
+            else:
+                eta[i, 0 if s == ETA1 else 1] = c
+    out = eta[:n] @ eta[n:, ::-1].conj().T  # <eta1,eta2> = 1, isotropic diagonals
+    if not index:
+        return out
+    coef = np.zeros((len(vecs), len(index)), dtype=complex)
+    coef[rows, cols] = vals
+    a, w = coef[:n], coef[n:].conj()
+    x = np.array([p / q for p, q in index])  # float(Fraction(p, q)), correctly rounded
+    power, delta = _power_and_delta(ctx, x)
+    for k in range(0, len(x), PAIR_BLOCK):
+        blk = slice(k, k + PAIR_BLOCK)
+        pd, dd = _power_and_delta(ctx, x[blk, None] - x[None, :])
+        gram = (pd - power[blk, None] - power) * -ctx.k1.real + 1j * (dd - delta[blk, None] + delta)
+        out += a[:, blk] @ (gram @ w.T)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Gram utilities
 
 def gram_matrix(vectors: Sequence[FormalVector]) -> np.ndarray:
-    n = len(vectors)
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = pairing(vectors[i], vectors[j])
-            out[j, i] = out[i, j].conjugate()
-    return out
+    return pairing_matrix(vectors, vectors)
 
 
 def signature_count(mat: np.ndarray, zero_band: float = ZERO_BAND) -> tuple[int, int, int]:
@@ -228,6 +272,35 @@ def signature_count(mat: np.ndarray, zero_band: float = ZERO_BAND) -> tuple[int,
     npos = int(np.sum(eigs > band))
     nzero = int(np.sum(np.abs(eigs) <= band))
     return (npos, nzero, len(eigs) - npos - nzero)
+
+
+def phase_corrected_gram(z: np.ndarray, base_pair: np.ndarray, power: float = 1.0) -> np.ndarray:
+    """M[g, k] = |z[g, k]|^power exp(-i power alpha(g, k, e)) from pairings.
+
+    ``z[g, k]`` pairs the unit lifts of orbit points g and k, ``base_pair[g]``
+    pairs lift g with the basepoint, and alpha(g, k, e) =
+    Arg(z[g, k] base_pair[k] conj base_pair[g]).  Only the strict upper
+    triangle of ``z`` is read; the lower triangle is its conjugate, so M is
+    exactly Hermitian, and the diagonal is exactly 1.
+    """
+    z = np.asarray(z, dtype=complex)
+    bp = np.asarray(base_pair, dtype=complex)
+    alpha = np.angle(z * bp[None, :] * bp.conj()[:, None])
+    out = np.triu(np.abs(z) ** power * np.exp(-1j * power * alpha), 1)
+    out += out.conj().T
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+def _inner_table(vectors: Sequence, base, inner: Callable[[object, object], complex]) -> np.ndarray:
+    """z[i, j] = inner(v_i, v_j) for i < j (zero below), z[i, n] = inner(v_i, base)."""
+    n = len(vectors)
+    z = np.zeros((n, n + 1), dtype=complex)
+    for i in range(n):
+        z[i, n] = inner(vectors[i], base)
+        for j in range(i + 1, n):
+            z[i, j] = inner(vectors[i], vectors[j])
+    return z
 
 
 def hyperbolic_orbit_gram(
@@ -243,17 +316,8 @@ def hyperbolic_orbit_gram(
     so M is unitarily congruent to the honest Gram of the orbit and has
     exactly one positive eigenvalue for a genuine isometric orbit.
     """
-    n = len(vectors)
-    base_pair = [complex(inner(v, base)) for v in vectors]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        out[i, i] = 1.0
-        for j in range(i + 1, n):
-            z = complex(inner(vectors[i], vectors[j]))
-            alpha = cmath.phase(z * base_pair[j] * base_pair[i].conjugate())
-            out[i, j] = abs(z) * cmath.exp(-1j * alpha)
-            out[j, i] = out[i, j].conjugate()
-    return out
+    z = _inner_table(vectors, base, inner)
+    return phase_corrected_gram(z[:, :-1], z[:, -1])
 
 
 def positive_type_check(
@@ -271,17 +335,14 @@ def positive_type_check(
     ``unit_beta`` replaces beta by 1 (negative control: fails for any
     configuration with a nonzero angle).
     """
-    n = len(vectors)
-    base_pair = [complex(inner(v, base)) for v in vectors]
-    mat = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            z = complex(inner(vectors[i], vectors[j]))
-            alpha = cmath.phase(z * base_pair[j] * base_pair[i].conjugate())
-            beta_i = 1.0 if unit_beta else abs(base_pair[i]) ** power
-            beta_j = 1.0 if unit_beta else abs(base_pair[j]) ** power
-            beta_ij = 1.0 if unit_beta else abs(z) ** power
-            mat[i, j] = beta_i * beta_j - cmath.exp(-1j * power * alpha) * beta_ij
+    z = _inner_table(vectors, base, inner)
+    z, base_pair = z[:, :-1], z[:, -1]
+    if unit_beta:
+        beta = np.ones(len(base_pair))
+        z = np.exp(1j * np.angle(z))
+    else:
+        beta = np.abs(base_pair) ** power
+    mat = np.outer(beta, beta) - phase_corrected_gram(z, base_pair, power)
     eigs = np.linalg.eigvalsh(mat)
     top = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     min_eig = float(eigs[0]) if eigs.size else 0.0

@@ -446,3 +446,47 @@ def test_reconstructed_points_carry_the_triple_angles():
         )
         embedded = hypgeo.cartan_argument(points[i], points[j], points[k])
         assert embedded == pytest.approx(-formal, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the batched orbit Gram against a per-entry loop
+
+
+def loop_orbit_gram(model, elements):
+    """Scalar pairings and cmath phases, one entry at a time."""
+    vecs = orbit_vectors(model, elements)
+    base = basepoint(model)
+    base_pair = [pairing(v, base) for v in vecs]
+    n = len(vecs)
+    out = np.eye(n, dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            z = pairing(vecs[i], vecs[j])
+            alpha = cmath.phase(z * base_pair[j] * base_pair[i].conjugate())
+            out[i, j] = abs(z) * cmath.exp(-1j * alpha)
+            out[j, i] = out[i, j].conjugate()
+    return out
+
+
+STRATA = {
+    "interior": (0.6, 0.5 * 0.6 * math.pi / 2),
+    "real_edge": (0.4, 0.0),
+    "power_edge": (0.7, 0.7 * math.pi / 2),
+    "t_one": (1.0, 0.9),
+}
+
+
+@pytest.mark.parametrize("stratum", sorted(STRATA))
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_orbit_gram_matches_loop_reference(stratum, n):
+    from horocomb.combination import make_representation
+
+    model = make_representation(*STRATA[stratum])
+    rng = np.random.default_rng(100 + n)
+    els = [su11.SU11Element.identity()] + [su11.random_su11(rng) for _ in range(n - 1)]
+    got = orbit_gram(model, els)
+    want = loop_orbit_gram(model, els)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    np.testing.assert_array_equal(got, got.conj().T)
+    np.testing.assert_array_equal(np.diag(got), np.ones(n))
+

@@ -147,3 +147,79 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "constructible"
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: malformed or out-of-range input is a usage error (2)
+
+TR = ["--t", "0.5", "--r", "0.3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--lam", "abc"],
+        ["classify", "--lam", "1/0"],
+        ["classify", "--lam", "2", "--b", "x"],
+        ["classify", "--alpha", "1,x"],
+        ["classify", "--alpha", "0,1", "--beta", "0"],
+        ["maps", "--lam", "-2"],
+    ],
+)
+def test_malformed_element_exits_2_with_json_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cartan-limit", *TR, "--steps", "0"],
+        ["cartan-limit", *TR, "--steps", "1"],
+        ["model", "verify", *TR, "--suite", "limits", "--steps", "0"],
+        ["gns-check", *TR, "--sample", "1"],
+        ["gns-check", *TR, "--sample", "2"],
+        ["maps", "--lam", "2", "--sample", "0"],
+        ["maps", "--lam", "2", "--sample", "x"],
+    ],
+)
+def test_out_of_range_count_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "must be at least" in err or "invalid integer value" in err
+
+
+@pytest.mark.parametrize("scale", ["x", "0", "-1", "nan", "inf"])
+def test_bad_tolerance_scale_exits_2(capsys, monkeypatch, scale):
+    monkeypatch.setenv("HOROCOMB_TOLERANCE_SCALE", scale)
+    code, out, err = run_cli(capsys, "model", "verify", *TR, "--suite", "limits")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "HOROCOMB_TOLERANCE_SCALE" in json.loads(err)["error"]
+
+
+def test_smallest_counts_still_run(capsys):
+    code, out, _ = run_cli(capsys, "gns-check", *TR, "--sample", "3", "--seed", "2")
+    assert code == 0 and len(json.loads(out)["eigenvalues"]) == 3
+    code, out, _ = run_cli(capsys, "cartan-limit", *TR, "--steps", "2")
+    assert code in (0, 1) and len(out.strip().splitlines()) == 3
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    import horocomb.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_model_build", broken)
+    code, out, err = run_cli(capsys, "model", "build", *TR)
+    assert code == 3
+    assert out == "" and "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "internal error: RuntimeError: boom"
+    # the innermost horocomb frame: here the dispatch in main
+    assert payload["where"].startswith("cli.py:") and payload["where"].endswith(" in main")
+

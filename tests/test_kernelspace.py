@@ -21,6 +21,8 @@ from horocomb.kernelspace import (
     hyperbolic_orbit_gram,
     k_of,
     pairing,
+    pairing_matrix,
+    phase_corrected_gram,
     positive_type_check,
     reconstruct_embedding,
     signature_count,
@@ -191,6 +193,111 @@ def test_c_family_linearly_independent(t):
 def test_signature_zero_band():
     mat = np.diag([1.0, -1.0, 1e-12])
     assert signature_count(mat) == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# pairing_matrix against the scalar pairing
+
+PAIR_CONTEXTS = [
+    ctx_for(0.3, 0.2),
+    ctx_for(0.5, 0.0),
+    ctx_for(0.7, 0.7 * math.pi / 2),
+    ctx_for(1.0, 1.2),
+    KernelContext(2.0, -1.0),
+]
+# a small pool, so that symbols repeat inside a vector family and are shared
+# between the two families
+PARAM_POOL = [Fraction(k, d) for k in (-7, -3, -1, 1, 2, 5) for d in (1, 3)]
+SYMBOLS = st.one_of(st.just(ETA1), st.just(ETA2), st.sampled_from(PARAM_POOL).map(csym))
+COEFFS = st.dictionaries(
+    SYMBOLS,
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    max_size=6,
+)
+ETA_COEFFS = st.dictionaries(
+    st.sampled_from([ETA1, ETA2]),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def pairing_scale(ctx, u, v):
+    """An upper bound on the summed moduli of the terms of B(u, v); both
+    ways of computing B(u, v) round relative to it."""
+    def weight(s):
+        return 1.0 if s[0] != "c" else 1.0 + abs(float(s[1])) ** ctx.t
+
+    return 1.0 + sum(
+        abs(c1) * abs(c2) * weight(s1) * weight(s2) * 3.0
+        for s1, c1 in u.coeffs.items()
+        for s2, c2 in v.coeffs.items()
+    )
+
+
+def assert_matches_scalar(mat, us, vs):
+    assert mat.shape == (len(us), len(vs))
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            want = pairing(u, v)
+            assert abs(mat[i, j] - want) <= 1e-12 * pairing_scale(u.ctx, u, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(PAIR_CONTEXTS),
+    st.lists(COEFFS, max_size=5),
+    st.lists(COEFFS, max_size=5),
+    st.lists(ETA_COEFFS, max_size=2),
+)
+def test_pairing_matrix_matches_scalar_pairing(ctx, left, right, eta_only):
+    us = [FormalVector(ctx, c) for c in left + eta_only]
+    vs = [FormalVector(ctx, c) for c in right]
+    assert_matches_scalar(pairing_matrix(us, vs), us, vs)
+    # one family against itself: the Gram of the concatenation
+    assert_matches_scalar(pairing_matrix(us + vs, us + vs), us + vs, us + vs)
+
+
+def test_pairing_matrix_empty_families():
+    ctx = ctx_for(0.5, 0.2)
+    assert pairing_matrix([], [cvec(ctx, 1)]).shape == (0, 1)
+    assert pairing_matrix([cvec(ctx, 1), eta1(ctx)], []).shape == (2, 0)
+    assert pairing_matrix([], []).shape == (0, 0)
+
+
+def test_pairing_matrix_degenerate_context():
+    # t = 1, Re K1 = 0: no C-symbols exist, only the hyperbolic line
+    ctx = KernelContext(1.0, 1j)
+    us = [eta1(ctx), eta2(ctx), FormalVector(ctx, {ETA1: 2.0, ETA2: 1j})]
+    vs = us + [FormalVector(ctx, {})]
+    mat = pairing_matrix(us, vs)
+    assert_matches_scalar(mat, us, vs)
+    np.testing.assert_array_equal(mat[:2, :2], [[0, 1], [1, 0]])
+
+
+def test_pairing_matrix_rejects_mixed_contexts():
+    c1, c2 = ctx_for(0.5, 0.1), ctx_for(0.5, 0.1)
+    with pytest.raises(UsageError):
+        pairing_matrix([cvec(c1, 1)], [cvec(c1, 2), cvec(c2, 2)])
+
+
+def test_pairing_matrix_keeps_nearby_symbols_apart():
+    # |b - d|^t is not Lipschitz at b = d: distinct rationals closer than any
+    # float tolerance must stay distinct symbols
+    ctx = ctx_for(0.3, 0.2)
+    b = Fraction(1, 3)
+    us = [cvec(ctx, b), cvec(ctx, b + Fraction(1, 10**15))]
+    mat = pairing_matrix(us, us)
+    assert_matches_scalar(mat, us, us)
+    assert mat[0, 1] != mat[0, 0]
+
+
+def test_phase_corrected_gram_is_exactly_hermitian_with_unit_diagonal():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    bp = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    gram = phase_corrected_gram(z, bp)
+    np.testing.assert_array_equal(gram, gram.conj().T)
+    np.testing.assert_array_equal(np.diag(gram), np.ones(6))
+    assert gram[1, 4] == pytest.approx(abs(z[1, 4]) * np.exp(-1j * np.angle(z[1, 4] * bp[4] * bp[1].conjugate())))
 
 
 # ---------------------------------------------------------------------------
