@@ -40,7 +40,7 @@ from .invariants import (
     model_arg,
     validate_params,
 )
-from .kernelspace import signature_count
+from .kernelspace import eigenvalue_signature
 from .su11 import SU11Element, bruhat_factor, classify_su11, displacement_su11, phi_to_so12, psi_to_sl2
 from .verification import check, run_suite
 
@@ -243,8 +243,8 @@ def cmd_gns_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     els = [SU11Element.identity()] + [su11.random_su11(rng) for _ in range(args.sample - 1)]
     gram = orbit_gram(model, els)
-    eigs = sorted(float(x) for x in np.linalg.eigvalsh(gram))
-    sig = signature_count(gram)
+    eigs = np.linalg.eigvalsh(gram)
+    sig = eigenvalue_signature(eigs)
     ok = sig[0] == 1
     _emit_json(
         {
@@ -253,7 +253,7 @@ def cmd_gns_check(args) -> int:
             "r": args.r,
             "sample": args.sample,
             "seed": args.seed,
-            "eigenvalues": eigs,
+            "eigenvalues": [float(x) for x in eigs],
             "signature": {"positive": sig[0], "zero": sig[1], "negative": sig[2]},
             "pass": ok,
         }

@@ -31,10 +31,16 @@ RANK_TOL = 1e-7          # singular values below RANK_TOL*scale count as zero
 
 @dataclass(frozen=True)
 class HermitianFormSpace:
-    """Coordinate space with a non-degenerate form of signature (1, n)."""
+    """Coordinate space with a non-degenerate form of signature (1, n).
+
+    A diagonal form (every off-diagonal entry exactly 0) is validated and
+    applied through its diagonal, in O(n) per pairing; the result is
+    bitwise the dense one.  Any other form goes through the full matrix.
+    """
 
     field_tag: str
     matrix: np.ndarray = field(repr=False)
+    _diag: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.field_tag not in ("real", "complex"):
@@ -44,7 +50,13 @@ class HermitianFormSpace:
             raise ValidationError("form matrix must be square")
         if np.max(np.abs(j - j.conj().T)) > STRUCT_TOL * max(1.0, np.max(np.abs(j))):
             raise ValidationError("form matrix is not self-adjoint")
-        eigs = np.linalg.eigvalsh(j)
+        diag = np.diagonal(j).copy()
+        if np.count_nonzero(j) == np.count_nonzero(diag):
+            eigs = np.sort(diag.real)  # what eigvalsh returns for a diagonal form
+            diag.flags.writeable = False
+            object.__setattr__(self, "_diag", diag)
+        else:
+            eigs = np.linalg.eigvalsh(j)
         npos = int(np.sum(eigs > 0))
         if npos != 1 or np.any(np.abs(eigs) < STRUCT_TOL * max(1.0, np.max(np.abs(eigs)))):
             raise ValidationError(
@@ -59,6 +71,8 @@ class HermitianFormSpace:
 
     def pair(self, v: np.ndarray, w: np.ndarray) -> complex:
         """B(v, w), linear in v and antilinear in w."""
+        if self._diag is not None:
+            return complex(np.conj(w) @ (self._diag * v))
         return complex(np.conj(w) @ (self.matrix @ v))
 
     def point(self, lift) -> "HPoint":

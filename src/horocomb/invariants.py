@@ -18,6 +18,7 @@ as a slope against pi/2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -87,12 +88,18 @@ def validate_params(t: float, r: float) -> str:
 # angle limits
 
 def geometric_schedule(start: float = 1.0, ratio: float = 10.0, steps: int = 9) -> list[Fraction]:
-    """b-values start * ratio^k, rationalized exactly."""
+    """b-values start * ratio^k, rationalized exactly; each must be a
+    finite float, since the Cartan angle is evaluated at float(b)."""
     if ratio <= 1.0 or start <= 0:
         raise ValidationError("schedule needs start > 0 and ratio > 1")
     start_f = Fraction(start).limit_denominator(10**6)
     ratio_f = Fraction(ratio).limit_denominator(10**6)
-    return [start_f * ratio_f**k for k in range(steps)]
+    schedule = [start_f * ratio_f**k for k in range(steps)]
+    if schedule and schedule[-1] > sys.float_info.max:
+        raise ValidationError(
+            f"schedule's last b = start * ratio^{steps - 1} exceeds the largest float"
+        )
+    return schedule
 
 
 def model_cartan_at(model: RepModel, b) -> float:

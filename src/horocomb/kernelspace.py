@@ -19,8 +19,12 @@ non-Lipschitz at b = d, so nearby-but-distinct parameters must never be
 merged.
 
 `pairing` pairs two vectors; `pairing_matrix` pairs two families of
-vectors at once through numpy products and is what every Gram and
-comparison uses.
+vectors at once and is what every Gram and comparison uses.  It packs each
+family slot by slot (vector i's p-th C-symbol as the float of its exact
+parameter next to its coefficient) and sums the kernel over slot pairs, so
+its cost is (C-symbols per vector)^2 times the product of the family
+sizes, and no two symbols are ever merged.  Small families take every slot
+pair in one array; large ones loop over slot pairs.
 
 Also here: Gram/signature utilities, the phase-corrected orbit Gram of a
 family of unit vectors (one positive eigenvalue for a genuine isometric
@@ -202,24 +206,63 @@ def pairing(u: FormalVector, v: FormalVector) -> complex:
     return complex(total)
 
 
-PAIR_BLOCK = 64  # rows of the C-symbol Gram block built at a time
-
-
 def _power_and_delta(ctx: KernelContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|x|^t and Delta(x) = sign(x) |x|^t Im K1, elementwise."""
     ax = np.abs(x) ** ctx.t
     return ax, np.sign(x) * ax * ctx.k1.imag
 
 
+SLOT_BROADCAST = 8192  # entries of the (n, slots, m, slots) kernel array built at once
+
+
+def _pack(vecs: Sequence[FormalVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The eta coefficients (N, 2), C-parameter floats (N, s) and
+    C-coefficients (N, s) of a family, s its largest C-symbol count, and
+    each vector's C-symbol count.
+
+    Each coefficient sits next to the float of its own exact parameter
+    (numerator / denominator, correctly rounded); padding slots hold x = 1
+    with coefficient 0, so they add nothing.
+    """
+    counts = [len(v.coeffs) - (ETA1 in v.coeffs) - (ETA2 in v.coeffs) for v in vecs]
+    slots = max(counts, default=0)
+    xs, cs = [1.0] * (len(vecs) * slots), [0j] * (len(vecs) * slots)
+    for i, v in enumerate(vecs):
+        k = i * slots
+        for s, c in v.coeffs.items():
+            if s[0] == "c":
+                xs[k], cs[k] = s[1].numerator / s[1].denominator, c
+                k += 1
+    eta = [(v.coeffs.get(ETA1, 0j), v.coeffs.get(ETA2, 0j)) for v in vecs]
+    return (
+        np.array(eta, dtype=complex).reshape(len(vecs), 2),
+        np.array(xs).reshape(len(vecs), slots),
+        np.array(cs, dtype=complex).reshape(len(vecs), slots),
+        counts,
+    )
+
+
+def _slot_part(ctx: KernelContext, u: tuple[np.ndarray, ...], v: tuple[np.ndarray, ...]) -> np.ndarray:
+    """sum over slots p, q of c_u[i, p] <C(x_u[i, p]), C(x_v[j, q])> conj(c_v[j, q]),
+    u and v each (x, c, |x|^t, Delta(x)) of shape (n, slots)."""
+    x_u, c_u, power_u, delta_u = (a[:, :, None, None] for a in u)
+    x_v, c_v, power_v, delta_v = v
+    pd, dd = _power_and_delta(ctx, x_u - x_v)
+    gram = (pd - power_u - power_v) * -ctx.k1.real + 1j * (dd - delta_u + delta_v)
+    return np.einsum("ip,ipjq,jq->ij", c_u[:, :, 0, 0], gram, c_v.conj())
+
+
 def pairing_matrix(us: Sequence[FormalVector], vs: Sequence[FormalVector]) -> np.ndarray:
     """[B(u_i, v_j)] for two families, as numpy products.
 
-    The C-parameters of both families are interned in one dict keyed by the
-    exact Fraction's canonical (numerator, denominator), which hashes faster
-    than the Fraction, so symbols merge only when equal.  With A, W the
-    packed C-coefficients and G the C-symbol Gram (the `c_pair` formula,
-    term for term), the C-part is A G W^H; G is built PAIR_BLOCK rows at a
-    time, so no (symbols x symbols) array is ever held.
+    Both families are packed slot by slot (`_pack`): vector i's p-th
+    C-symbol is the float x[i, p] with coefficient c[i, p].  The C-part is
+    the sum over slot pairs (p, q) of c_u[:, p] conj(c_v[:, q])^T times the
+    C-symbol Gram on x_u[:, p] - x_v[:, q] (the `c_pair` formula, term for
+    term), so symbols are never merged.  Small families evaluate every slot
+    pair in one (n, slots_u, m, slots_v) array, which keeps the numpy call
+    count fixed; above SLOT_BROADCAST entries the slot pairs go one at a
+    time, so each temporary is only (n, m).
     """
     vecs = [*us, *vs]
     n = len(us)
@@ -228,30 +271,19 @@ def pairing_matrix(us: Sequence[FormalVector], vs: Sequence[FormalVector]) -> np
     ctx = vecs[0].ctx
     if any(v.ctx is not ctx for v in vecs):
         raise UsageError("vectors from different contexts")
-    index: dict[tuple[int, int], int] = {}
-    eta = np.zeros((len(vecs), 2), dtype=complex)
-    rows, cols, vals = [], [], []
-    for i, v in enumerate(vecs):
-        for s, c in v.coeffs.items():
-            if s[0] == "c":
-                rows.append(i)
-                cols.append(index.setdefault((s[1].numerator, s[1].denominator), len(index)))
-                vals.append(c)
-            else:
-                eta[i, 0 if s == ETA1 else 1] = c
+    eta, x, coef, counts = _pack(vecs)
     out = eta[:n] @ eta[n:, ::-1].conj().T  # <eta1,eta2> = 1, isotropic diagonals
-    if not index:
+    slots_u, slots_v = max(counts[:n]), max(counts[n:])
+    if not slots_u or not slots_v:
         return out
-    coef = np.zeros((len(vecs), len(index)), dtype=complex)
-    coef[rows, cols] = vals
-    a, w = coef[:n], coef[n:].conj()
-    x = np.array([p / q for p, q in index])  # float(Fraction(p, q)), correctly rounded
-    power, delta = _power_and_delta(ctx, x)
-    for k in range(0, len(x), PAIR_BLOCK):
-        blk = slice(k, k + PAIR_BLOCK)
-        pd, dd = _power_and_delta(ctx, x[blk, None] - x[None, :])
-        gram = (pd - power[blk, None] - power) * -ctx.k1.real + 1j * (dd - delta[blk, None] + delta)
-        out += a[:, blk] @ (gram @ w.T)
+    packed = (x, coef, *_power_and_delta(ctx, x))
+    u = tuple(a[:n, :slots_u] for a in packed)
+    v = tuple(a[n:, :slots_v] for a in packed)
+    if n * slots_u * (len(vecs) - n) * slots_v <= SLOT_BROADCAST:
+        return out + _slot_part(ctx, u, v)
+    for p in range(slots_u):
+        for q in range(slots_v):
+            out += _slot_part(ctx, tuple(a[:, p : p + 1] for a in u), tuple(a[:, q : q + 1] for a in v))
     return out
 
 
@@ -264,7 +296,13 @@ def gram_matrix(vectors: Sequence[FormalVector]) -> np.ndarray:
 
 def signature_count(mat: np.ndarray, zero_band: float = ZERO_BAND) -> tuple[int, int, int]:
     """(positive, zero, negative) eigenvalue counts of a Hermitian matrix."""
-    eigs = np.linalg.eigvalsh(np.asarray(mat))
+    return eigenvalue_signature(np.linalg.eigvalsh(np.asarray(mat)), zero_band)
+
+
+def eigenvalue_signature(eigs: np.ndarray, zero_band: float = ZERO_BAND) -> tuple[int, int, int]:
+    """(positive, zero, negative) counts of real eigenvalues; those within
+    zero_band times the largest modulus count as zero."""
+    eigs = np.asarray(eigs)
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     if scale == 0.0:
         return (0, len(eigs), 0)

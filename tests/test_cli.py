@@ -164,6 +164,9 @@ TR = ["--t", "0.5", "--r", "0.3"]
         ["classify", "--alpha", "1,x"],
         ["classify", "--alpha", "0,1", "--beta", "0"],
         ["maps", "--lam", "-2"],
+        # the schedule's last b (10^309) is beyond the float range
+        ["cartan-limit", *TR, "--steps", "310"],
+        ["model", "verify", *TR, "--suite", "limits", "--steps", "310"],
     ],
 )
 def test_malformed_element_exits_2_with_json_error(capsys, argv):

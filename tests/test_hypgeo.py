@@ -54,6 +54,30 @@ def test_form_must_have_one_positive_direction():
         HermitianFormSpace("real", np.diag([-1.0, -1.0]))
 
 
+@pytest.mark.parametrize("k", [1, 5, 255])
+def test_diagonal_form_pairs_bitwise_like_the_matrix(k):
+    space = minkowski_space(k, "complex")
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        v, w = rng.normal(size=(2, k + 1)) + 1j * rng.normal(size=(2, k + 1))
+        assert space.pair(v, w) == complex(np.conj(w) @ (space.matrix @ v))
+
+
+def test_diagonal_form_signature_still_validated():
+    for diag in ([1.0, 0.0, -1.0], [1.0, 1.0, -1.0]):
+        with pytest.raises(ValidationError):
+            HermitianFormSpace("complex", np.diag(diag))
+
+
+def test_non_diagonal_form_still_accepted_and_pairs_by_the_matrix():
+    so12 = HermitianFormSpace("real", su11.SO12_FORM)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        v, w = rng.normal(size=(2, 3))
+        assert so12.pair(v, w) == complex(np.conj(w) @ (so12.matrix @ v))
+        assert so12.pair(v, w) == pytest.approx(v[0] * w[1] + v[1] * w[0] - v[2] * w[2], abs=1e-12)
+
+
 def test_point_needs_positive_norm(h1):
     with pytest.raises(ValidationError):
         h1.point([0.0, 1.0])

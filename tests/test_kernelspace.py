@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horocomb import hypgeo, su11
+from horocomb import hypgeo, kernelspace, su11
 from horocomb.errors import ReconstructionError, UsageError, ValidationError
 from horocomb.kernelspace import (
     ETA1,
@@ -248,12 +248,41 @@ def assert_matches_scalar(mat, us, vs):
     st.lists(COEFFS, max_size=5),
     st.lists(ETA_COEFFS, max_size=2),
 )
+# families of unequal slot counts: 0, 1 and 5 C-symbols against eta-only
+@example(
+    ctx=PAIR_CONTEXTS[2],
+    left=[
+        {ETA1: 1.5},
+        {csym(PARAM_POOL[0]): 2 - 1j, ETA2: 0.5j},
+        {csym(b): complex(k + 1, -k) for k, b in enumerate(PARAM_POOL[6:11])},
+    ],
+    right=[{ETA1: 1j, ETA2: 3.0}, {ETA2: -2.0}],
+    eta_only=[],
+)
 def test_pairing_matrix_matches_scalar_pairing(ctx, left, right, eta_only):
     us = [FormalVector(ctx, c) for c in left + eta_only]
     vs = [FormalVector(ctx, c) for c in right]
     assert_matches_scalar(pairing_matrix(us, vs), us, vs)
     # one family against itself: the Gram of the concatenation
     assert_matches_scalar(pairing_matrix(us + vs, us + vs), us + vs, us + vs)
+
+
+@pytest.mark.parametrize("slot_broadcast", [kernelspace.SLOT_BROADCAST, 0], ids=["broadcast", "slot_loop"])
+def test_pairing_matrix_broadcast_and_slot_loop_agree(monkeypatch, slot_broadcast):
+    # the whole-family broadcast and the slot-pair loop, on families of
+    # unequal slot counts (0, 1, 2 and 5 C-symbols)
+    monkeypatch.setattr(kernelspace, "SLOT_BROADCAST", slot_broadcast)
+    ctx = PAIR_CONTEXTS[1]
+    left = [
+        {ETA1: 1.5},
+        {csym(PARAM_POOL[0]): 2 - 1j, ETA2: 0.5j},
+        {csym(b): complex(k + 1, -k) for k, b in enumerate(PARAM_POOL[6:11])},
+    ]
+    right = [{csym(PARAM_POOL[3]): 1j, csym(PARAM_POOL[6]): -0.5}, {ETA2: -2.0, csym(PARAM_POOL[1]): 3.0}]
+    us = [FormalVector(ctx, c) for c in left]
+    vs = [FormalVector(ctx, c) for c in right]
+    assert_matches_scalar(pairing_matrix(us, vs), us, vs)
+    assert_matches_scalar(pairing_matrix(vs, us + vs), vs, us + vs)
 
 
 def test_pairing_matrix_empty_families():
