@@ -7,7 +7,9 @@ first (the parent in even pairs, the change in odd ones); T is the
 ``run_seconds`` of the change's BENCHMARK.json.  Writes one JSON file with
 every run's provenance and last-line result and, for each end-to-end metric
 declared there, both sides' values, median and quartiles and the number of
-pairs the change won.
+pairs the change won.  Each run's wall time, harness work outside the timed
+window included, goes to stderr as it ends and into the report as ``wall_s``,
+summarised per side like a metric.
 
 Both checkouts must be git checkouts whose tracked files equal their HEAD;
 the report names each by its commit and by the git tree id of its ``src/``,
@@ -81,7 +83,8 @@ def paired_runs(roots: dict, workload: str, seed: int, seconds: float, pairs: in
             pair[side] = run_once(roots[side], workload, seed, seconds)
             metrics = pair[side]["result"]["metrics"]
             print(f"{workload} pair {i} {side}: throughput_ops_s "
-                  f"{metrics['throughput_ops_s']['value']:.4g}", file=sys.stderr, flush=True)
+                  f"{metrics['throughput_ops_s']['value']:.4g}, wall {pair[side]['wall_s']:.1f} s",
+                  file=sys.stderr, flush=True)
         runs.append(pair)
     return runs
 
@@ -124,8 +127,12 @@ def main() -> int:
         workloads[workload] = {
             "failed_ops": {s: sum(r[s]["result"]["failed"] for r in runs) for s in SIDES},
             "metrics": compare(runs, declared["end_to_end"]),
+            "wall_s": {s: summarise([r[s]["wall_s"] for r in runs]) for s in SIDES},
             "runs": runs,
         }
+        wall = workloads[workload]["wall_s"]
+        print(f"{workload} wall_s: " + ", ".join(
+            f"{s} {wall[s]['median']:.1f} [{wall[s]['q1']:.1f}-{wall[s]['q3']:.1f}]" for s in SIDES))
         for name, m in workloads[workload]["metrics"].items():
             print(f"{workload} {name}: parent {m['parent']['median']:.4g} "
                   f"[{m['parent']['q1']:.4g}-{m['parent']['q3']:.4g}] "

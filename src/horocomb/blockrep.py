@@ -48,7 +48,7 @@ from .kernelspace import (
     pairing_matrix,
     phase_corrected_gram,
 )
-from .su11 import ParabolicCoords, SU11Element, bruhat_factor, factor_parabolic
+from .su11 import ParabolicCoords, SU11Element, _frac, bruhat_factor, factor_parabolic
 
 PROBE_CAP = 64
 BASE_PROBE_PARAMS = (
@@ -58,14 +58,6 @@ BASE_PROBE_PARAMS = (
     Fraction(-1, 2),
     Fraction(3),
 )
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)

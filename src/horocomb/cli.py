@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import su11
-from .blockrep import RepModel, orbit_gram
+from .blockrep import orbit_gram
 from .combination import combine_models, CombinationSpec, make_representation, mix_weights_for_target
 from .errors import ParameterError, ValidationError
 from .invariants import (
@@ -148,12 +148,8 @@ def cmd_maps(args) -> int:
     return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
 
 
-def _model_or_exit(t: float, r: float) -> RepModel:
-    return make_representation(t, r)
-
-
 def cmd_model_build(args) -> int:
-    model = _model_or_exit(args.t, args.r)
+    model = make_representation(args.t, args.r)
     _emit_json(
         {
             "command": "model build",
@@ -167,7 +163,7 @@ def cmd_model_build(args) -> int:
 
 
 def cmd_model_verify(args) -> int:
-    model = _model_or_exit(args.t, args.r)
+    model = make_representation(args.t, args.r)
     rng = np.random.default_rng(args.seed)
     schedule = geometric_schedule(args.b_start, args.b_ratio, args.steps)
     checks = run_suite(model, args.suite, rng, schedule, tol_scale=_tol_scale())
@@ -187,8 +183,8 @@ def cmd_model_verify(args) -> int:
 
 
 def cmd_combine(args) -> int:
-    m1 = _model_or_exit(args.t, args.r1)
-    m2 = _model_or_exit(args.t, args.r2)
+    m1 = make_representation(args.t, args.r1)
+    m2 = make_representation(args.t, args.r2)
     combined = combine_models(CombinationSpec(m1, m2, u=args.u))
     target = (1.0 - args.u) * model_arg(m1) + args.u * model_arg(m2)
     p, q = mix_weights_for_target(model_arg(m1), model_arg(m2), target)
@@ -212,7 +208,7 @@ def cmd_combine(args) -> int:
 
 
 def cmd_cartan_limit(args) -> int:
-    model = _model_or_exit(args.t, args.r)
+    model = make_representation(args.t, args.r)
     schedule = geometric_schedule(args.b_start, args.b_ratio, args.steps)
     est = cartan_limit_estimate(model, schedule)
     if args.format == "json":
@@ -239,7 +235,7 @@ def cmd_cartan_limit(args) -> int:
 
 
 def cmd_gns_check(args) -> int:
-    model = _model_or_exit(args.t, args.r)
+    model = make_representation(args.t, args.r)
     rng = np.random.default_rng(args.seed)
     els = [SU11Element.identity()] + [su11.random_su11(rng) for _ in range(args.sample - 1)]
     gram = orbit_gram(model, els)

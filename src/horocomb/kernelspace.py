@@ -45,16 +45,9 @@ import numpy as np
 
 from .errors import ReconstructionError, UsageError, ValidationError
 from .hypgeo import HermitianFormSpace, minkowski_space
+from .su11 import _frac
 
 ZERO_BAND = 1e-9  # relative eigenvalue zero band for signatures
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +127,28 @@ ETA1 = ("eta1",)
 ETA2 = ("eta2",)
 
 
+class _Param(Fraction):
+    """An exact C-parameter that hashes once.
+
+    C-symbols are dict keys, looked up many times per operator atom, and
+    `Fraction.__hash__` costs a modular inverse each time.  Equality and
+    the hash value are those of the plain Fraction, and arithmetic on a
+    parameter returns a plain Fraction.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, *args):
+        self = super().__new__(cls, *args)
+        self._hash = Fraction.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 def csym(b) -> tuple:
-    b = _frac(b)
+    b = _Param(_frac(b))
     if b == 0:
         raise ValidationError("C(0) is the zero vector, not a symbol")
     return ("c", b)

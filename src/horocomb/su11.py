@@ -8,6 +8,15 @@ applied exactly, so elements built from rational data multiply and factor
 without rounding.  That exactness is load-bearing: downstream symbolic
 operators index basis vectors by these rational parameters.
 
+An element is stored as four integer numerators over one positive common
+denominator, reduced so that equal elements store equal integers; products
+and factorizations are integer arithmetic with one gcd per result, not one
+per Fraction operation.  Every construction, products included, checks
+|alpha|^2 - |beta|^2 = 1 to within 1e-12 as an exact integer inequality:
+rounded inputs are accepted inside that band, and the determinant of their
+products moves away from 1 with each factor, so a long product must not
+skip the check.
+
 Also provided: the isomorphism to SL2(R) (via its standard images on the
 upper-triangular subgroup and the rotation w), the double cover onto
 SO(1,2), translation lengths, and a generic checker for the four defining
@@ -40,21 +49,52 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected a rational number, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+def _part(i: int) -> property:
+    return property(lambda self: Fraction(self._num[i], self._den), doc="exact entry part, a Fraction")
+
+
 class SU11Element:
-    """M(alpha, beta) with exact rational real/imaginary parts."""
+    """M(alpha, beta) with exact rational real/imaginary parts.
 
-    a_re: Fraction
-    a_im: Fraction
-    b_re: Fraction
-    b_im: Fraction
+    Stored as integer numerators of (Re alpha, Im alpha, Re beta, Im beta)
+    over one positive denominator, gcd 1 over all five; `a_re` .. `b_im`
+    return the parts as Fractions.  Every construction checks the
+    determinant (see the module docstring for why products do too).
+    """
 
-    def __post_init__(self):
-        for name in ("a_re", "a_im", "b_re", "b_im"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
-        det = self.a_re**2 + self.a_im**2 - self.b_re**2 - self.b_im**2
-        if abs(float(det) - 1.0) > 1e-12:
-            raise ValidationError(f"|alpha|^2 - |beta|^2 = {float(det)} != 1")
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, a_re: Rat, a_im: Rat, b_re: Rat, b_im: Rat):
+        parts = [_frac(x) for x in (a_re, a_im, b_re, b_im)]
+        den = math.lcm(*(f.denominator for f in parts))  # gcd 1 by construction
+        self._set(tuple(f.numerator * (den // f.denominator) for f in parts), den)
+
+    @classmethod
+    def _from_ints(cls, num: tuple[int, int, int, int], den: int) -> "SU11Element":
+        common = math.gcd(*num, den)  # den > 0 for every caller
+        out = cls.__new__(cls)
+        out._set(tuple(n // common for n in num), den // common)
+        return out
+
+    def _set(self, num: tuple[int, int, int, int], den: int) -> None:
+        ar, ai, br, bi = num
+        det, den2 = ar * ar + ai * ai - br * br - bi * bi, den * den
+        if abs(det - den2) * 10**12 > den2:  # |det/den^2 - 1| > 1e-12, exactly
+            raise ValidationError(f"|alpha|^2 - |beta|^2 = {det / den2} != 1")
+        self._num, self._den = num, den
+
+    a_re, a_im, b_re, b_im = (_part(i) for i in range(4))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SU11Element):
+            return NotImplemented
+        return self._num == other._num and self._den == other._den
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
+
+    def __repr__(self) -> str:
+        return f"SU11Element({', '.join(str(Fraction(n, self._den)) for n in self._num)})"
 
     @staticmethod
     def from_alpha_beta(alpha: complex, beta: complex, denom_cap: int | None = None) -> "SU11Element":
@@ -66,15 +106,15 @@ class SU11Element:
 
     @staticmethod
     def identity() -> "SU11Element":
-        return SU11Element(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        return SU11Element(1, 0, 0, 0)
 
     @property
     def alpha(self) -> complex:
-        return complex(float(self.a_re), float(self.a_im))
+        return complex(self._num[0] / self._den, self._num[1] / self._den)
 
     @property
     def beta(self) -> complex:
-        return complex(float(self.b_re), float(self.b_im))
+        return complex(self._num[2] / self._den, self._num[3] / self._den)
 
     def matrix(self) -> np.ndarray:
         a, b = self.alpha, self.beta
@@ -83,33 +123,34 @@ class SU11Element:
     def __mul__(self, other: "SU11Element") -> "SU11Element":
         # (a1 + b1 J)(a2 + b2 J) in the M(a, b) parametrization:
         # alpha = a1 a2 + b1 conj(b2), beta = a1 b2 + b1 conj(a2)
-        a1r, a1i, b1r, b1i = self.a_re, self.a_im, self.b_re, self.b_im
-        a2r, a2i, b2r, b2i = other.a_re, other.a_im, other.b_re, other.b_im
-        ar = a1r * a2r - a1i * a2i + b1r * b2r + b1i * b2i
-        ai = a1r * a2i + a1i * a2r + b1i * b2r - b1r * b2i
-        br = a1r * b2r - a1i * b2i + b1r * a2r + b1i * a2i
-        bi = a1r * b2i + a1i * b2r + b1i * a2r - b1r * a2i
-        return SU11Element(ar, ai, br, bi)
+        (a1r, a1i, b1r, b1i), (a2r, a2i, b2r, b2i) = self._num, other._num
+        return SU11Element._from_ints(
+            (
+                a1r * a2r - a1i * a2i + b1r * b2r + b1i * b2i,
+                a1r * a2i + a1i * a2r + b1i * b2r - b1r * b2i,
+                a1r * b2r - a1i * b2i + b1r * a2r + b1i * a2i,
+                a1r * b2i + a1i * b2r + b1i * a2r - b1r * a2i,
+            ),
+            self._den * other._den,
+        )
 
     def inv(self) -> "SU11Element":
-        return SU11Element(self.a_re, -self.a_im, -self.b_re, -self.b_im)
+        ar, ai, br, bi = self._num
+        return SU11Element._from_ints((ar, -ai, -br, -bi), self._den)
 
     def neg(self) -> "SU11Element":
-        return SU11Element(-self.a_re, -self.a_im, -self.b_re, -self.b_im)
+        return SU11Element._from_ints(tuple(-n for n in self._num), self._den)
 
     # entries of the same element in the isotropic basis {xi1, xi2}:
     # [[p, i q], [i r, s]] with p, q, r, s rational
     def xi_entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        p = self.a_re + self.b_re
-        q = self.a_im - self.b_im
-        r = self.a_im + self.b_im
-        s = self.a_re - self.b_re
-        return p, q, r, s
+        ar, ai, br, bi = self._num
+        return tuple(Fraction(n, self._den) for n in (ar + br, ai - bi, ai + bi, ar - br))
 
 
 def s_element() -> SU11Element:
     """The involution s: xi1 -> i xi2, xi2 -> i xi1 (alpha = i, beta = 0)."""
-    return SU11Element(Fraction(0), Fraction(1), Fraction(0), Fraction(0))
+    return SU11Element(0, 1, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -128,13 +169,10 @@ class ParabolicCoords:
 
 def to_su11(p: ParabolicCoords) -> SU11Element:
     """g(lambda, b) as an M(alpha, beta); exact in the rational entries."""
-    lam, b = p.lam, p.b
-    half = Fraction(1, 2)
-    ar = (lam + 1 / lam) * half
-    ai = b * half
-    br = (lam - 1 / lam) * half
-    bi = -b * half
-    return SU11Element(ar, ai, br, bi)
+    ln, ld, bn, bd = p.lam.numerator, p.lam.denominator, p.b.numerator, p.b.denominator
+    # over 2 ln ld bd: alpha = (lam + 1/lam)/2 + i b/2, beta = (lam - 1/lam)/2 - i b/2
+    sq_n, sq_d, im = ln * ln * bd, ld * ld * bd, bn * ln * ld
+    return SU11Element._from_ints((sq_n + sq_d, im, sq_n - sq_d, -im), 2 * ln * ld * bd)
 
 
 def g(lam, b) -> SU11Element:
@@ -169,16 +207,14 @@ def bruhat_factor(m: SU11Element) -> ParabolicCoords | PsPFactors:
     [i/lam, -d/lam]], so the lower-left entry decides the branch.  Signs
     are normalized so lambda > 0; the result reconstructs +/- m exactly.
     """
-    p, q, r, s = m.xi_entries()
+    ar, ai, br, bi = m._num
+    r = ai + bi  # the xi-basis entries times the denominator
     if r == 0:
         factored = factor_parabolic(m, tol=0.0)
         assert factored is not None
         return factored
     sign = 1 if r > 0 else -1
-    lam = 1 / (sign * r)
-    b = -sign * p
-    d = -lam * sign * s
-    return PsPFactors(lam, b, d)
+    return PsPFactors(Fraction(m._den, sign * r), Fraction(-sign * (ar + br), m._den), Fraction(br - ar, r))
 
 
 def reconstruct(f: ParabolicCoords | PsPFactors) -> SU11Element:

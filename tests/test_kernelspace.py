@@ -319,6 +319,25 @@ def test_pairing_matrix_keeps_nearby_symbols_apart():
     assert mat[0, 1] != mat[0, 0]
 
 
+@pytest.mark.parametrize(
+    "b", [1, -2, 0.5, 1.0 + 1e-15, Fraction(1, 3), Fraction(-7, 2**16), Fraction(1, 3) + Fraction(1, 10**15)]
+)
+def test_csym_is_a_plain_fraction_key(b):
+    key, plain = csym(b), ("c", Fraction(b))
+    assert key == plain and hash(key) == hash(plain)
+    assert {plain: 1}[key] == 1 and {key: 2}[plain] == 2
+    x = key[1]
+    for value, want in [(x + x, 2 * Fraction(b)), (-x, -Fraction(b)), (1 / x, 1 / Fraction(b)), (x * x, Fraction(b) ** 2)]:
+        assert type(value) is Fraction and value == want
+
+
+@pytest.mark.parametrize("b, d", [(1.0, 1.0 + 1e-15), (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**15))])
+def test_csym_keeps_nearby_parameters_apart(b, d):
+    keys = {csym(b): 1, csym(d): 2}
+    assert len(keys) == 2
+    assert keys[("c", Fraction(b))] == 1 and keys[("c", Fraction(d))] == 2
+
+
 def test_phase_corrected_gram_is_exactly_hermitian_with_unit_diagonal():
     rng = np.random.default_rng(5)
     z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horocomb import hypgeo
 from horocomb.errors import ValidationError
@@ -288,3 +290,119 @@ def test_presentation_check_negative_control():
 def test_letter_validation():
     with pytest.raises(ValidationError):
         U(0)
+
+
+# ---------------------------------------------------------------------------
+# integer storage against the Fraction formulas it replaced
+#
+# Reference elements are 4-tuples (Re alpha, Im alpha, Re beta, Im beta) of
+# Fractions, computed with one Fraction operation at a time.
+
+def ref_mul(x, y):
+    a1r, a1i, b1r, b1i = x
+    a2r, a2i, b2r, b2i = y
+    return (
+        a1r * a2r - a1i * a2i + b1r * b2r + b1i * b2i,
+        a1r * a2i + a1i * a2r + b1i * b2r - b1r * b2i,
+        a1r * b2r - a1i * b2i + b1r * a2r + b1i * a2i,
+        a1r * b2i + a1i * b2r + b1i * a2r - b1r * a2i,
+    )
+
+
+def ref_inv(x):
+    return (x[0], -x[1], -x[2], -x[3])
+
+
+def ref_neg(x):
+    return tuple(-v for v in x)
+
+
+def ref_xi(x):
+    ar, ai, br, bi = x
+    return (ar + br, ai - bi, ai + bi, ar - br)
+
+
+def ref_to_su11(lam, b):
+    half = Fraction(1, 2)
+    return ((lam + 1 / lam) * half, b * half, (lam - 1 / lam) * half, -b * half)
+
+
+def ref_bruhat(x):
+    p, q, r, s = ref_xi(x)
+    if r == 0:
+        sign = 1 if p > 0 else -1
+        return ParabolicCoords(sign * p, sign * q)
+    sign = 1 if r > 0 else -1
+    lam = 1 / (sign * r)
+    return PsPFactors(lam, -sign * p, -lam * sign * s)
+
+
+def entries(m: SU11Element):
+    return (m.a_re, m.a_im, m.b_re, m.b_im)
+
+
+RATS = st.fractions(min_value=-4, max_value=4, max_denominator=2**16)
+LAMS = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=2**16)
+# g(lam, b) s^eps g(1, d); with no s in a product it stays in P
+FACTORS = st.tuples(LAMS, RATS, st.booleans(), RATS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(FACTORS, min_size=1, max_size=5))
+def test_integer_storage_matches_fraction_formulas(factors):
+    m, ref = SU11Element.identity(), entries(SU11Element.identity())
+    for lam, b, eps, d in factors:
+        el, el_ref = g(lam, b), ref_to_su11(lam, b)
+        assert entries(el) == el_ref
+        if eps:
+            el, el_ref = el * s_element(), ref_mul(el_ref, entries(s_element()))
+        el, el_ref = el * g(1, d), ref_mul(el_ref, ref_to_su11(Fraction(1), d))
+        m, ref = m * el, ref_mul(ref, el_ref)
+        assert entries(m) == ref
+    assert entries(m.inv()) == ref_inv(ref)
+    assert entries(m.neg()) == ref_neg(ref)
+    assert m.xi_entries() == ref_xi(ref)
+    assert bruhat_factor(m) == ref_bruhat(ref)
+    assert reconstruct(bruhat_factor(m)) in (m, m.neg())
+    assert m * m.inv() == SU11Element.identity()
+
+
+@pytest.mark.parametrize(
+    "excess, accepted", [(5e-13, True), (-5e-13, True), (2e-12, False), (-2e-12, False)]
+)
+def test_determinant_band(excess, accepted):
+    # |alpha|^2 - |beta|^2 = 1 + excess, with exact parts close to the floats
+    alpha, beta = complex(math.sqrt(1.25 + excess), 0.0), complex(0.0, 0.5)
+    if accepted:
+        m = SU11Element.from_alpha_beta(alpha, beta, denom_cap=10**15)
+        det = m.a_re**2 + m.a_im**2 - m.b_re**2 - m.b_im**2
+        assert float(det) - 1.0 == pytest.approx(excess, rel=1e-2)
+    else:
+        with pytest.raises(ValidationError):
+            SU11Element.from_alpha_beta(alpha, beta, denom_cap=10**15)
+
+
+def test_determinant_checked_on_integer_input_and_products():
+    with pytest.raises(ValidationError):
+        SU11Element(2, 0, 0, 0)
+    # inside the band alone, outside it after enough factors
+    near = SU11Element.from_alpha_beta(complex(math.sqrt(1 + 9e-13)), 0j, denom_cap=10**15)
+    with pytest.raises(ValidationError):
+        near * near
+
+
+def test_unnormalized_inputs_give_equal_elements():
+    a = SU11Element(Fraction(5, 4), Fraction(0), Fraction(3, 4), Fraction(0))
+    b = SU11Element(Fraction(10, 8), 0, 0.75, Fraction(0, 7))
+    c = g(2, 0)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert a != a.neg() and a.inv() * a == SU11Element.identity()
+
+
+def test_entry_properties_are_fractions():
+    m = random_su11(np.random.default_rng(3))
+    for value in (*entries(m), *m.xi_entries()):
+        assert type(value) is Fraction
+    assert m.alpha == complex(float(m.a_re), float(m.a_im))
+    assert m.beta == complex(float(m.b_re), float(m.b_im))
