@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the constructible (t, r) region and verify every model.
 
-For each grid cell: the presentation relations (projective), the A-map
-unitarity, the orbit-Gram signature and the recovered invariants.  Prints
-one row per cell and exits nonzero if any cell fails.
+Each grid cell runs the product's verdict, `run_suite(model, "all", ...)`
+(what `horocomb model verify --suite all` runs), and checks that the model's
+recovered invariant equals r.  Prints one row per cell with its passed
+check count and worst residual/tolerance, and exits 1 if any cell fails.
 
 Usage: python scripts/run_grid.py [--nt 4] [--nr 4] [--seed 0]
 """
@@ -14,12 +15,9 @@ import sys
 
 import numpy as np
 
-from horocomb.blockrep import orbit_gram
 from horocomb.combination import make_representation
-from horocomb.invariants import model_arg
-from horocomb.kernelspace import signature_count
-from horocomb.su11 import SU11Element, random_su11
-from horocomb.verification import amap_checks, relation_checks, sigma_relation_checks
+from horocomb.invariants import geometric_schedule, model_arg
+from horocomb.verification import run_suite
 
 
 def main() -> int:
@@ -30,26 +28,20 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
+    schedule = geometric_schedule()
     failures = 0
-    print(f"{'t':>6} {'r':>8} {'relations':>10} {'amap':>10} {'signature':>10} verdict")
+    print(f"{'t':>6} {'r':>8} {'passed':>7} {'margin':>10} verdict")
     for t in np.linspace(0.2, 0.95, args.nt):
         for frac in np.linspace(0.0, 1.0, args.nr):
             r = frac * t * math.pi / 2
             model = make_representation(float(t), float(r))
-            checks = (
-                relation_checks(model)
-                + sigma_relation_checks(model)
-                + amap_checks(model)
-            )
-            rel = max(c["residual"] for c in checks if c["name"].startswith(("relation", "sigma")))
-            ama = max(c["residual"] for c in checks if c["name"].startswith("amap"))
-            els = [SU11Element.identity()] + [random_su11(rng) for _ in range(7)]
-            sig = signature_count(orbit_gram(model, els))
-            ok = all(c["pass"] for c in checks) and sig[0] == 1
-            ok = ok and abs(model_arg(model) - r) < 1e-12
+            checks = run_suite(model, "all", rng, schedule)
+            passed = sum(c["pass"] for c in checks)
+            margin = max(c["residual"] / c["tolerance"] for c in checks)
+            ok = passed == len(checks) and abs(model_arg(model) - r) < 1e-12
             failures += 0 if ok else 1
             print(
-                f"{t:6.3f} {r:8.4f} {rel:10.2e} {ama:10.2e} {str(sig):>10} "
+                f"{t:6.3f} {r:8.4f} {passed:>3}/{len(checks):<3} {margin:10.2e} "
                 f"{'ok' if ok else 'FAIL'}"
             )
     print(f"\n{failures} failing cells")

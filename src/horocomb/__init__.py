@@ -40,7 +40,6 @@ from .kernelspace import (
     FormalVector,
     KernelContext,
     gram_matrix,
-    k_of,
     pairing,
     pairing_matrix,
     positive_type_check,
@@ -66,7 +65,6 @@ __all__ = [
     "equivalent_models",
     "evaluate",
     "gram_matrix",
-    "k_of",
     "make_representation",
     "mix_weights_for_target",
     "model_arg",

@@ -15,8 +15,8 @@ where k*(b) = ctx.block_k(b) = -conj(K(b)) and <.,.> is the kernelspace
 pairing.  Arbitrary group elements evaluate through the P | PsP
 factorization; products of evaluated operators agree with evaluation of
 products up to a unimodular phase (the action is projective on the linear
-level), and `compare_up_to_phase` decides such equalities through pairings
-against an auto-generated probe set.
+level), and `compare_up_to_phase` decides such equalities by comparing the
+coefficients of the images of an auto-generated probe set.
 """
 
 from __future__ import annotations
@@ -220,21 +220,11 @@ def busemann_character_model(model: RepModel, m: SU11Element) -> float:
 # ---------------------------------------------------------------------------
 # probe machinery and projective comparison
 
-def _op_params(op: RepOperator) -> set[Fraction]:
-    out: set[Fraction] = set()
-    for atom in op.atoms:
-        if atom[0] == "unip" and atom[1] != 0:
-            out.add(atom[1])
-    return out
-
-
 def probe_vectors(model: RepModel, *ops: RepOperator, extra: Iterable[Fraction] = ()) -> list[FormalVector]:
     """eta1, eta2 and C(b) probes for the base rationals and all unipotent
     parameters appearing in the operators; capped at PROBE_CAP symbols."""
-    params: set[Fraction] = set(BASE_PROBE_PARAMS)
-    for op in ops:
-        params |= _op_params(op)
-    params |= {_frac(x) for x in extra}
+    params = set(BASE_PROBE_PARAMS) | {_frac(x) for x in extra}
+    params |= {atom[1] for op in ops for atom in op.atoms if atom[0] == "unip"}
     params.discard(Fraction(0))
     if len(params) + 2 > PROBE_CAP:
         raise ProbeOverflowError(f"probe set would need {len(params) + 2} symbols")
@@ -261,10 +251,14 @@ def compare_up_to_phase(
 ) -> CompareResult:
     """Decide op_a = theta * op_b on the probe span, |theta| = 1.
 
-    Equality is tested through pairings against the union of the probe set
-    and every symbol appearing in the images (the form is non-degenerate
-    there).  ``exact`` pins theta = 1 for identities that must hold on the
-    nose, not just projectively.
+    The two images of each probe are compared coefficient by coefficient
+    over the union of their symbols.  Symbols are linearly independent, so
+    equal coefficients are equal vectors; no pairing is needed.  theta is
+    fitted at the largest coefficient the two images share (theta = 1 when
+    they share none), and the residual is the largest coefficient
+    difference over max(1, largest |coefficient|).  ``exact`` pins
+    theta = 1 for identities that must hold on the nose, not just
+    projectively.
     """
     if probes is None:
         probes = probe_vectors(model, op_a, op_b)
@@ -273,46 +267,22 @@ def compare_up_to_phase(
     images = [(apply(op_a, p), apply(op_b, p)) for p in probes]
     if any(ia.is_zero(1e-300) or ib.is_zero(1e-300) for ia, ib in images):
         raise DegenerateProbeError("an operator annihilated a probe vector")
-
-    detectors = list(probes)
-    seen = {frozenset(p.coeffs) for p in probes}
-    for ia, ib in images:
-        scale = max(
-            [abs(c) for c in (*ia.coeffs.values(), *ib.coeffs.values())] or [1.0]
-        )
-        for vec in (ia, ib):
-            for s, c in vec.coeffs.items():
-                if abs(c) > 1e-13 * scale:
-                    probe = FormalVector(model.ctx, {s: 1.0})
-                    key = frozenset(probe.coeffs)
-                    if key not in seen:
-                        seen.add(key)
-                        detectors.append(probe)
-
-    pair_a = pairing_matrix([ia for ia, _ in images], detectors)
-    pair_b = pairing_matrix([ib for _, ib in images], detectors)
-
-    scale = max(1.0, float(np.max(np.abs(pair_a))), float(np.max(np.abs(pair_b))))
-    if exact:
-        theta = 1.0 + 0.0j
-    else:
-        flat_a, flat_b = pair_a.ravel(), pair_b.ravel()
-        idx = np.argmax(np.minimum(np.abs(flat_a), np.abs(flat_b)))
-        if min(abs(flat_a[idx]), abs(flat_b[idx])) <= 1e-12 * scale:
-            raise DegenerateProbeError("no pairing-detectable nonzero coefficient")
-        theta = complex(flat_a[idx] / flat_b[idx])
+    ca, cb = np.array(
+        [
+            (ia.coeffs.get(s, 0j), ib.coeffs.get(s, 0j))
+            for ia, ib in images
+            for s in {**ia.coeffs, **ib.coeffs}  # insertion order: deterministic ties
+        ]
+    ).T
+    scale = max(1.0, float(np.max(np.abs(ca))), float(np.max(np.abs(cb))))
+    common = np.minimum(np.abs(ca), np.abs(cb))
+    idx = np.argmax(common)
+    theta = 1.0 + 0.0j
+    if not exact and common[idx] > 0:
+        theta = complex(ca[idx] / cb[idx])
         theta /= abs(theta)
-    residual = float(np.max(np.abs(pair_a - theta * pair_b))) / scale
+    residual = float(np.max(np.abs(ca - theta * cb))) / scale
     return CompareResult(residual <= tol, theta, residual)
-
-
-def operator_deviation(model: RepModel, exact: bool = False):
-    """Projective comparator usable as `presentation_check` deviation."""
-
-    def deviation(op_a: RepOperator, op_b: RepOperator) -> float:
-        return compare_up_to_phase(model, op_a, op_b, exact=exact).residual
-
-    return deviation
 
 
 # ---------------------------------------------------------------------------

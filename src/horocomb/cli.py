@@ -42,7 +42,7 @@ from .invariants import (
 )
 from .kernelspace import eigenvalue_signature
 from .su11 import SU11Element, bruhat_factor, classify_su11, displacement_su11, phi_to_so12, psi_to_sl2
-from .verification import check, run_suite
+from .verification import cartan_limit_tolerance, check, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -230,7 +230,7 @@ def cmd_cartan_limit(args) -> int:
         for (b, v), e in zip(est.points, est.running):
             sys.stdout.write(f"{b!r},{v!r},{e!r}\n")
     dev = abs(est.extrapolated + model_arg(model))
-    tol = max(1e-3, 5.0 * est.points[-1][0] ** (-model.t)) * _tol_scale()
+    tol = cartan_limit_tolerance(model, est.points[-1][0]) * _tol_scale()
     return EXIT_OK if dev <= tol else EXIT_CHECK_FAILED
 
 

@@ -116,10 +116,6 @@ class KernelContext:
         return complex(re, im)
 
 
-def k_of(ctx: KernelContext, b) -> complex:
-    return ctx.k(b)
-
-
 # ---------------------------------------------------------------------------
 # symbols and vectors
 

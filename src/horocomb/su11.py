@@ -348,6 +348,39 @@ def eval_word(
     return out
 
 
+def presentation_pairs(
+    u_image: Callable[[Fraction], T],
+    w_image: T,
+    mul: Callable[[T, T], T],
+    identity: T,
+    samples: Sequence[Rat] = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3),
+) -> dict[str, list[tuple[T, T]]]:
+    """(lhs, rhs) image pairs of the four presentation relations.
+
+    1. u is additive: u(a) u(b) = u(a+b)
+    2. s is multiplicative: s(a) s(b) = s(ab)
+    3. w^2 = s(-1)
+    4. s(a) u(b) s(1/a) = u(b a^2)
+    """
+    samples = [_frac(x) for x in samples]
+    ev = lambda word: eval_word(word, u_image, w_image, mul, identity)
+    grid = [(a, b) for a in samples for b in samples]
+    return {
+        "u_additive": [
+            (mul(ev((U(a),)), ev((U(b),))), identity if a + b == 0 else ev((U(a + b),)))
+            for a, b in grid
+        ],
+        "s_multiplicative": [
+            (mul(ev(s_word(a)), ev(s_word(b))), ev(s_word(a * b))) for a, b in grid
+        ],
+        "w_squared": [(mul(w_image, w_image), ev(s_word(-1)))],
+        "s_u_conjugation": [
+            (mul(mul(ev(s_word(a)), ev((U(b),))), ev(s_word(1 / a))), ev((U(b * a * a),)))
+            for a, b in grid
+        ],
+    }
+
+
 def presentation_check(
     u_image: Callable[[Fraction], T],
     w_image: T,
@@ -356,43 +389,13 @@ def presentation_check(
     deviation: Callable[[T, T], float],
     samples: Sequence[Rat] = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3),
 ) -> dict[str, float]:
-    """Worst-case deviation of the four presentation relations.
-
-    1. u is additive: u(a) u(b) = u(a+b)
-    2. s is multiplicative: s(a) s(b) = s(ab)
-    3. w^2 = s(-1)
-    4. s(a) u(b) s(1/a) = u(b a^2)
+    """Worst-case deviation of each of the four `presentation_pairs`.
 
     ``deviation`` measures the distance between two images (matrix norm of
     the difference, or a projective comparator for linear-lift targets).
     """
-    samples = [_frac(x) for x in samples]
-    ev = lambda word: eval_word(word, u_image, w_image, mul, identity)
-
-    report: dict[str, float] = {}
-    dev = 0.0
-    for a in samples:
-        for b in samples:
-            prod = mul(ev((U(a),)), ev((U(b),)))
-            rhs = identity if a + b == 0 else ev((U(a + b),))
-            dev = max(dev, deviation(prod, rhs))
-    report["u_additive"] = dev
-
-    dev = 0.0
-    for a in samples:
-        for b in samples:
-            dev = max(dev, deviation(mul(ev(s_word(a)), ev(s_word(b))), ev(s_word(a * b))))
-    report["s_multiplicative"] = dev
-
-    report["w_squared"] = deviation(mul(w_image, w_image), ev(s_word(-1)))
-
-    dev = 0.0
-    for a in samples:
-        for b in samples:
-            lhs = mul(mul(ev(s_word(a)), ev((U(b),))), ev(s_word(1 / a)))
-            dev = max(dev, deviation(lhs, ev((U(b * a * a),))))
-    report["s_u_conjugation"] = dev
-    return report
+    pairs = presentation_pairs(u_image, w_image, mul, identity, samples)
+    return {k: max(deviation(a, b) for a, b in v) for k, v in pairs.items()}
 
 
 # ---------------------------------------------------------------------------

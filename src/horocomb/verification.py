@@ -23,7 +23,6 @@ from .blockrep import (
     op_diag,
     op_sigma,
     op_unipotent,
-    operator_deviation,
     orbit_gram,
     pairing,
 )
@@ -32,6 +31,7 @@ from .kernelspace import (
     FormalVector,
     KernelContext,
     cvec,
+    eigenvalue_signature,
     reconstruct_embedding,
 )
 
@@ -69,7 +69,24 @@ def _vec_residual(v: FormalVector, scale: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# presentation relations
+# operator identities
+
+def _identity_check(name: str, model: RepModel, pairs, tolerance: float, exact=False) -> dict:
+    """Worst `compare_up_to_phase` residual over (lhs, rhs) operator pairs
+    (a NaN residual propagates, so it fails)."""
+    res = [compare_up_to_phase(model, a, b, exact=exact).residual for a, b in pairs]
+    return check(name, np.max(res, initial=0.0), tolerance)
+
+
+def _letter_images(model: RepModel) -> dict:
+    """u(r) -> unip(r) and w -> sigma, as keywords of `su11.eval_word`."""
+    return {
+        "u_image": lambda r: op_unipotent(model, r),
+        "w_image": op_sigma(model),
+        "mul": compose,
+        "identity": identity_op(model),
+    }
+
 
 def relation_checks(
     model: RepModel,
@@ -77,15 +94,8 @@ def relation_checks(
     tolerance: float = 1e-9,
 ) -> list[dict]:
     """The four presentation relations, verified projectively on probes."""
-    report = su11.presentation_check(
-        u_image=lambda r: op_unipotent(model, r),
-        w_image=op_sigma(model),
-        mul=compose,
-        identity=identity_op(model),
-        deviation=operator_deviation(model),
-        samples=samples,
-    )
-    return [check(f"relation_{k}", v, tolerance) for k, v in sorted(report.items())]
+    pairs = su11.presentation_pairs(**_letter_images(model), samples=samples)
+    return [_identity_check(f"relation_{k}", model, v, tolerance) for k, v in sorted(pairs.items())]
 
 
 def sigma_relation_checks(
@@ -93,24 +103,18 @@ def sigma_relation_checks(
     bs: Sequence[Fraction] = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)),
     tolerance: float = 1e-9,
 ) -> list[dict]:
-    """diag(b) = sigma unip(eps/b) sigma unip(eps b) sigma unip(eps/b),
+    """diag(b) = s(eps b) = sigma unip(eps/b) sigma unip(eps b) sigma unip(eps/b),
     projectively, for both signs of eps."""
-    out = []
-    for eps in (1, -1):
-        worst = 0.0
-        for b in bs:
-            word = compose(
-                compose(
-                    compose(op_sigma(model), op_unipotent(model, Fraction(eps) / b)),
-                    compose(op_sigma(model), op_unipotent(model, eps * b)),
-                ),
-                compose(op_sigma(model), op_unipotent(model, Fraction(eps) / b)),
-            )
-            res = compare_up_to_phase(model, word, op_diag(model, b))
-            worst = max(worst, res.residual, abs(abs(res.phase) - 1.0))
-        tag = "plus" if eps == 1 else "minus"
-        out.append(check(f"sigma_relation_eps_{tag}", worst, tolerance))
-    return out
+    images = _letter_images(model)
+    return [
+        _identity_check(
+            f"sigma_relation_eps_{tag}",
+            model,
+            [(su11.eval_word(su11.s_word(eps * b), **images), op_diag(model, b)) for b in bs],
+            tolerance,
+        )
+        for eps, tag in ((1, "plus"), (-1, "minus"))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +241,12 @@ def amap_checks(
         lhs = pairing(apply(sig, cvec(ctx, b)), apply(sig, cvec(ctx, d)))
         rhs = pairing(cvec(ctx, b), cvec(ctx, d))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    out = [check("amap_unitary", worst, tolerance)]
-    res = compare_up_to_phase(model, compose(sig, sig), identity_op(model), exact=True)
-    out.append(check("amap_involution", res.residual, tolerance))
-    return out
+    return [
+        check("amap_unitary", worst, tolerance),
+        _identity_check(
+            "amap_involution", model, [(sig @ sig, identity_op(model))], tolerance, exact=True
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +260,6 @@ def gram_checks(
     roundtrip_tol: float = 1e-7,
 ) -> list[dict]:
     """One positive eigenvalue in orbit Grams; embedding round-trips them."""
-    out = []
     worst_sig = 0.0
     worst_rt = 0.0
     for size in sizes:
@@ -263,17 +268,16 @@ def gram_checks(
         eigs = np.sort(np.linalg.eigvalsh(gram))
         scale = float(np.max(np.abs(eigs)))
         worst_sig = max(worst_sig, float(eigs[-2]) / scale)
+        if eigenvalue_signature(eigs, zero_band)[0] != 1:
+            continue  # no (1, k) embedding to round-trip; gram_one_positive fails instead
         space, pts = reconstruct_embedding(gram, zero_band)
-        n = len(pts)
-        rt = max(
-            abs(space.pair(pts[i], pts[j]) - gram[i, j])
-            for i in range(n)
-            for j in range(n)
-        )
+        p = np.array(pts)
+        rt = float(np.max(np.abs(p @ space.matrix.T @ p.conj().T - gram)))
         worst_rt = max(worst_rt, rt / max(1.0, scale))
-    out.append(check("gram_one_positive", worst_sig, zero_band))
-    out.append(check("gram_embedding_roundtrip", worst_rt, roundtrip_tol))
-    return out
+    return [
+        check("gram_one_positive", worst_sig, zero_band),
+        check("gram_embedding_roundtrip", worst_rt, roundtrip_tol),
+    ]
 
 
 def homomorphism_checks(
@@ -285,25 +289,21 @@ def homomorphism_checks(
     """Projective group law: evaluation of products matches products of
     evaluations up to a unimodular phase (exactly, with phase 1, on the
     upper-triangular subgroup)."""
-    worst_p = 0.0
-    for _ in range(n_pairs):
-        a = su11.g(_nonzero_rational(rng, 0.5, 2.0), _nonzero_rational(rng))
-        b = su11.g(_nonzero_rational(rng, 0.5, 2.0), _nonzero_rational(rng))
-        res = compare_up_to_phase(
-            model, compose(evaluate(model, a), evaluate(model, b)), evaluate(model, a * b), exact=True
-        )
-        worst_p = max(worst_p, res.residual)
-    worst_full = 0.0
-    for _ in range(n_pairs):
-        a, b = su11.random_su11(rng), su11.random_su11(rng)
-        res = compare_up_to_phase(
-            model, compose(evaluate(model, a), evaluate(model, b)), evaluate(model, a * b)
-        )
-        worst_full = max(worst_full, res.residual, abs(abs(res.phase) - 1.0))
+    def group_law(a: su11.SU11Element, b: su11.SU11Element):
+        return evaluate(model, a) @ evaluate(model, b), evaluate(model, a * b)
+
+    draw_p = lambda: su11.g(_nonzero_rational(rng, 0.5, 2.0), _nonzero_rational(rng))
+    parabolic = [group_law(draw_p(), draw_p()) for _ in range(n_pairs)]
+    full = [group_law(su11.random_su11(rng), su11.random_su11(rng)) for _ in range(n_pairs)]
     return [
-        check("homomorphism_parabolic_exact", worst_p, tolerance),
-        check("homomorphism_projective", worst_full, tolerance),
+        _identity_check("homomorphism_parabolic_exact", model, parabolic, tolerance, exact=True),
+        _identity_check("homomorphism_projective", model, full, tolerance),
     ]
+
+
+def cartan_limit_tolerance(model: RepModel, b_max: float) -> float:
+    """Tolerance of the extrapolated Cartan limit at the last schedule point b_max."""
+    return max(1e-3, 5.0 * b_max ** (-model.t))
 
 
 def limit_checks(model: RepModel, schedule, tolerance: float | None = None) -> list[dict]:
@@ -311,7 +311,7 @@ def limit_checks(model: RepModel, schedule, tolerance: float | None = None) -> l
     est = cartan_limit_estimate(model, schedule)
     b_max = est.points[-1][0]
     if tolerance is None:
-        tolerance = max(1e-3, 5.0 * b_max ** (-model.t))
+        tolerance = cartan_limit_tolerance(model, b_max)
     raw_dev = abs(est.points[-1][1] + model_arg(model))
     ext_dev = abs(est.extrapolated + model_arg(model))
     return [

@@ -297,10 +297,22 @@ def test_probe_cap_overflow():
         probe_vectors(m, extra=[Fraction(k, 7) for k in range(1, 70)])
 
 
+def test_compare_images_without_a_common_symbol():
+    # sigma C(2) = k*(2) C(-1/2) and unip(1) C(2) = <C(2), C(-1)> eta1 + C(3) - C(1)
+    # share no symbol: unequal, theta = 1, and the whole image is the residual
+    m = make(0.5, 0.2)
+    res = compare_up_to_phase(m, op_sigma(m), op_unipotent(m, 1), probes=[cvec(m.ctx, 2)])
+    assert not res.equal
+    assert res.phase == 1.0
+    assert res.residual == pytest.approx(1.0)
+
+
 def test_empty_probes_rejected():
     m = make(0.5, 0.2)
     with pytest.raises(DegenerateProbeError):
         compare_up_to_phase(m, op_sigma(m), op_sigma(m), probes=[])
+    with pytest.raises(DegenerateProbeError):  # an image of the zero probe is zero
+        compare_up_to_phase(m, op_sigma(m), op_sigma(m), probes=[FormalVector(m.ctx, {})])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from horocomb.kernelspace import (
     eta2,
     gram_matrix,
     hyperbolic_orbit_gram,
-    k_of,
     pairing,
     pairing_matrix,
     phase_corrected_gram,
@@ -70,12 +69,12 @@ def test_degenerate_context_refuses_c_symbols():
 
 def test_k_scaling_and_conjugation():
     ctx = ctx_for(0.7, 0.3)
-    assert k_of(ctx, 2) == pytest.approx(2**0.7 * ctx.k1, abs=1e-15)
-    assert k_of(ctx, -1) == pytest.approx(ctx.k1.conjugate(), abs=1e-15)
-    assert k_of(ctx, 0) == 0.0
+    assert ctx.k(2) == pytest.approx(2**0.7 * ctx.k1, abs=1e-15)
+    assert ctx.k(-1) == pytest.approx(ctx.k1.conjugate(), abs=1e-15)
+    assert ctx.k(0) == 0.0
     # the operator coefficient is the reflection -conj(K)
     assert ctx.block_k(1) == pytest.approx(-ctx.k1.conjugate(), abs=1e-15)
-    assert abs(ctx.block_k(3)) == pytest.approx(abs(k_of(ctx, 3)), abs=1e-15)
+    assert abs(ctx.block_k(3)) == pytest.approx(abs(ctx.k(3)), abs=1e-15)
 
 
 def test_k_addition_identity():
