@@ -39,7 +39,6 @@ from .invariants import (
 from .kernelspace import (
     FormalVector,
     KernelContext,
-    gram_matrix,
     pairing,
     pairing_matrix,
     positive_type_check,
@@ -64,7 +63,6 @@ __all__ = [
     "endpoint_tautological",
     "equivalent_models",
     "evaluate",
-    "gram_matrix",
     "make_representation",
     "mix_weights_for_target",
     "model_arg",

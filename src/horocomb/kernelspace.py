@@ -299,10 +299,6 @@ def pairing_matrix(us: Sequence[FormalVector], vs: Sequence[FormalVector]) -> np
 # ---------------------------------------------------------------------------
 # Gram utilities
 
-def gram_matrix(vectors: Sequence[FormalVector]) -> np.ndarray:
-    return pairing_matrix(vectors, vectors)
-
-
 def signature_count(mat: np.ndarray, zero_band: float = ZERO_BAND) -> tuple[int, int, int]:
     """(positive, zero, negative) eigenvalue counts of a Hermitian matrix."""
     return eigenvalue_signature(np.linalg.eigvalsh(np.asarray(mat)), zero_band)
@@ -409,14 +405,13 @@ def reconstruct_embedding(
     eigenvalues inside the zero band."""
     gram = np.asarray(gram, dtype=complex)
     eigs, vecs = np.linalg.eigh(gram)
-    scale = float(np.max(np.abs(eigs)))
-    keep = np.abs(eigs) > zero_band * scale
-    eigs, vecs = eigs[keep], vecs[:, keep]
-    npos = int(np.sum(eigs > 0))
+    npos = eigenvalue_signature(eigs, zero_band)[0]
     if npos != 1:
         raise ReconstructionError(
             f"signature has {npos} positive directions, need exactly 1"
         )
+    keep = np.abs(eigs) > zero_band * float(np.max(np.abs(eigs)))
+    eigs, vecs = eigs[keep], vecs[:, keep]
     order = np.argsort(-eigs)  # positive first
     eigs, vecs = eigs[order], vecs[:, order]
     coords = vecs * np.sqrt(np.abs(eigs))[None, :]

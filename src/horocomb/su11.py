@@ -389,13 +389,13 @@ def presentation_check(
     deviation: Callable[[T, T], float],
     samples: Sequence[Rat] = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3),
 ) -> dict[str, float]:
-    """Worst-case deviation of each of the four `presentation_pairs`.
+    """Worst-case deviation (NaN if any is NaN) of each of the four `presentation_pairs`.
 
     ``deviation`` measures the distance between two images (matrix norm of
     the difference, or a projective comparator for linear-lift targets).
     """
     pairs = presentation_pairs(u_image, w_image, mul, identity, samples)
-    return {k: max(deviation(a, b) for a, b in v) for k, v in pairs.items()}
+    return {k: float(np.max([deviation(a, b) for a, b in v])) for k, v in pairs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Named numerical checks over a model, shared by the CLI and the test suite.
 
-Every check is a dict {name, residual, tolerance, pass}; a suite is a list
-of checks.  Residuals are scale-normalized maxima over the sampled inputs.
+Every check is a dict {name, residual, tolerance, pass} built by `check`,
+the one verdict rule: the worst of the check's scale-normalized samples is
+its residual, and it passes when that residual is at most the tolerance.
+A NaN sample makes the residual NaN (printed as `NaN` in JSON), so the
+check fails.  A suite is a list of checks.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,6 +32,7 @@ from .blockrep import (
 )
 from .invariants import cartan_limit_estimate, model_arg
 from .kernelspace import (
+    ZERO_BAND,
     FormalVector,
     KernelContext,
     cvec,
@@ -44,12 +49,24 @@ RELATION_SAMPLES = (
     Fraction(-1, 2),
     Fraction(3),
 )
+AMAP_PAIRS = (
+    (Fraction(2), Fraction(-3)),   # b > 0 > d
+    (Fraction(3), Fraction(1)),    # b > d > 0
+    (Fraction(-4), Fraction(-1)),  # b < d < 0
+    (Fraction(5), Fraction(5)),
+)
+BRANCH_SAMPLES = 50  # draws of b in `combined_k_additivity_check`
+GRAM_SIZES = (4, 8, 12)  # orbit sizes in `gram_checks`
+ROUNDTRIP_TOL = 1e-7  # tolerance of the embedding round trip in `gram_checks`
 
 
-def check(name: str, residual: float, tolerance: float) -> dict:
+def check(name: str, residuals, tolerance: float) -> dict:
+    """The record of one check: the worst of its residuals (one value or a
+    sequence of samples) against the tolerance; a NaN sample fails."""
+    residual = float(np.max(residuals, initial=0.0))
     return {
         "name": name,
-        "residual": float(residual),
+        "residual": residual,
         "tolerance": float(tolerance),
         "pass": bool(residual <= tolerance),
     }
@@ -72,10 +89,9 @@ def _vec_residual(v: FormalVector, scale: float) -> float:
 # operator identities
 
 def _identity_check(name: str, model: RepModel, pairs, tolerance: float, exact=False) -> dict:
-    """Worst `compare_up_to_phase` residual over (lhs, rhs) operator pairs
-    (a NaN residual propagates, so it fails)."""
+    """`compare_up_to_phase` residuals over (lhs, rhs) operator pairs."""
     res = [compare_up_to_phase(model, a, b, exact=exact).residual for a, b in pairs]
-    return check(name, np.max(res, initial=0.0), tolerance)
+    return check(name, res, tolerance)
 
 
 def _letter_images(model: RepModel) -> dict:
@@ -130,11 +146,7 @@ def kernel_identity_checks(
     (lam, b, d) triples.  K below is the operator coefficient block_k."""
     ctx = model.ctx
     t = ctx.t
-    worst: dict[str, float] = {}
-
-    def bump(key: str, val: float):
-        worst[key] = max(worst.get(key, 0.0), val)
-
+    res: dict[str, list[float]] = defaultdict(list)
     for _ in range(n_samples):
         lam = Fraction(math.exp(rng.uniform(-1.0, 1.0))).limit_denominator(su11.DENOM_CAP)
         b = _nonzero_rational(rng)
@@ -148,47 +160,43 @@ def kernel_identity_checks(
         pi_b_cd = FormalVector(ctx, {s: c for s, c in pi_b_cd.coeffs.items() if s[0] == "c"})
         rhs = cvec(ctx, b) + pi_b_cd
         lhs = cvec(ctx, b + d) if b + d != 0 else FormalVector(ctx, {})
-        bump("c_cocycle", _vec_residual(lhs - rhs, scale))
+        res["c_cocycle"].append(_vec_residual(lhs - rhs, scale))
 
         # dilation intertwiner: lam^t pi(lam,0) c(b) = c(lam^2 b)
         img = apply(op_diag(model, lam), cvec(ctx, b))
-        bump(
-            "c_dilation",
-            _vec_residual(lam_f**t * img - cvec(ctx, lam * lam * b), scale),
+        res["c_dilation"].append(
+            _vec_residual(lam_f**t * img - cvec(ctx, lam * lam * b), scale)
         )
 
         # diagonal part carries no cocycle or kernel term
         diag_img = apply(op_diag(model, lam), FormalVector(ctx, {("eta2",): 1.0}))
         off = {s: c for s, c in diag_img.coeffs.items() if s != ("eta2",)}
-        bump("diag_no_cocycle", _vec_residual(FormalVector(ctx, off), scale))
+        res["diag_no_cocycle"].append(_vec_residual(FormalVector(ctx, off), scale))
 
         # Delta scaling and oddness
-        bump(
-            "delta_scaling",
-            abs(lam_f ** (2 * t) * ctx.delta(b_f) - ctx.delta(lam_f**2 * b_f)) / scale,
+        res["delta_scaling"].append(
+            abs(lam_f ** (2 * t) * ctx.delta(b_f) - ctx.delta(lam_f**2 * b_f)) / scale
         )
-        bump("delta_odd", abs(ctx.delta(b_f) + ctx.delta(-b_f)) / scale)
+        res["delta_odd"].append(abs(ctx.delta(b_f) + ctx.delta(-b_f)) / scale)
 
         # pairing vs Delta and norms (the two sesquilinear identities)
         if not ctx.degenerate:
             pd = ctx.c_pair(b_f, d_f)
-            bump(
-                "pair_imag_delta",
-                abs(pd.imag - (ctx.delta(b_f - d_f) - ctx.delta(b_f) + ctx.delta(d_f))) / scale,
+            res["pair_imag_delta"].append(
+                abs(pd.imag - (ctx.delta(b_f - d_f) - ctx.delta(b_f) + ctx.delta(d_f))) / scale
             )
             norm2 = lambda x: ctx.c_pair(x, x).real
             target = 0.0 if b == d else -norm2(b_f - d_f) / 2
-            bump(
-                "pair_real_norms",
-                abs(pd.real - (target + norm2(b_f) / 2 + norm2(d_f) / 2)) / scale,
+            res["pair_real_norms"].append(
+                abs(pd.real - (target + norm2(b_f) / 2 + norm2(d_f) / 2)) / scale
             )
 
         # K homogeneity, conjugation, addition
-        bump("k_homogeneous", abs(ctx.block_k(lam_f * b_f) - lam_f**t * kb) / scale)
-        bump("k_conjugation", abs(ctx.block_k(-b_f) - kb.conjugate()) / scale)
+        res["k_homogeneous"].append(abs(ctx.block_k(lam_f * b_f) - lam_f**t * kb) / scale)
+        res["k_conjugation"].append(abs(ctx.block_k(-b_f) - kb.conjugate()) / scale)
         if not ctx.degenerate:
             ksum = kb + kd + ctx.c_pair(d_f, -b_f)
-            bump("k_addition", abs(ctx.block_k(b_f + d_f) - ksum) / scale)
+            res["k_addition"].append(abs(ctx.block_k(b_f + d_f) - ksum) / scale)
 
         # sigma-helper identities at eps b and eps / b
         if not ctx.degenerate:
@@ -198,51 +206,41 @@ def kernel_identity_checks(
                 lhs1 = 1.0 + ctx.block_k(float(eb)) * ctx.block_k(float(ebi)) + pairing(
                     ac, cvec(ctx, -ebi)
                 )
-                bump("sigma_helper_scalar", abs(lhs1) / scale)
+                res["sigma_helper_scalar"].append(abs(lhs1) / scale)
                 pi_ac = apply(op_unipotent(model, ebi), ac)
                 pi_ac = FormalVector(ctx, {s: c for s, c in pi_ac.coeffs.items() if s[0] == "c"})
                 vec = ctx.block_k(float(eb)) * cvec(ctx, ebi) + pi_ac
-                bump("sigma_helper_vector", _vec_residual(vec, scale))
+                res["sigma_helper_vector"].append(_vec_residual(vec, scale))
 
-    return [check(f"kernel_{k}", v, tolerance) for k, v in sorted(worst.items())]
+    return [check(f"kernel_{k}", v, tolerance) for k, v in sorted(res.items())]
 
 
 def combined_k_additivity_check(
-    t: float, k1a: complex, k1b: complex, rng: np.random.Generator,
-    n_samples: int = 50, tolerance: float = 1e-10,
+    t: float, k1a: complex, k1b: complex, rng: np.random.Generator
 ) -> dict:
     """K of the summed context equals the sum of the branch K's."""
     ca, cb = KernelContext(t, k1a), KernelContext(t, k1b)
     csum = KernelContext(t, k1a + k1b)
-    worst = 0.0
-    for _ in range(n_samples):
+    res = []
+    for _ in range(BRANCH_SAMPLES):
         b = float(_nonzero_rational(rng))
         lhs = csum.block_k(b)
         rhs = ca.block_k(b) + cb.block_k(b)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return check("kernel_branch_additivity", worst, tolerance)
+        res.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+    return check("kernel_branch_additivity", res, 1e-10)
 
 
-def amap_checks(
-    model: RepModel,
-    pairs: Sequence[tuple[Fraction, Fraction]] = (
-        (Fraction(2), Fraction(-3)),   # b > 0 > d
-        (Fraction(3), Fraction(1)),    # b > d > 0
-        (Fraction(-4), Fraction(-1)),  # b < d < 0
-        (Fraction(5), Fraction(5)),
-    ),
-    tolerance: float = 1e-10,
-) -> list[dict]:
+def amap_checks(model: RepModel, tolerance: float = 1e-10) -> list[dict]:
     """Unitarity of the sigma action on the cocycle span, plus sigma^2 = 1."""
     ctx = model.ctx
     sig = op_sigma(model)
-    worst = 0.0
-    for b, d in pairs:
+    res = []
+    for b, d in AMAP_PAIRS:
         lhs = pairing(apply(sig, cvec(ctx, b)), apply(sig, cvec(ctx, d)))
         rhs = pairing(cvec(ctx, b), cvec(ctx, d))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        res.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
     return [
-        check("amap_unitary", worst, tolerance),
+        check("amap_unitary", res, tolerance),
         _identity_check(
             "amap_involution", model, [(sig @ sig, identity_op(model))], tolerance, exact=True
         ),
@@ -252,31 +250,24 @@ def amap_checks(
 # ---------------------------------------------------------------------------
 # orbit geometry
 
-def gram_checks(
-    model: RepModel,
-    rng: np.random.Generator,
-    sizes: Sequence[int] = (4, 8, 12),
-    zero_band: float = 1e-9,
-    roundtrip_tol: float = 1e-7,
-) -> list[dict]:
+def gram_checks(model: RepModel, rng: np.random.Generator) -> list[dict]:
     """One positive eigenvalue in orbit Grams; embedding round-trips them."""
-    worst_sig = 0.0
-    worst_rt = 0.0
-    for size in sizes:
+    sig, roundtrip = [], []
+    for size in GRAM_SIZES:
         els = [su11.SU11Element.identity()] + [su11.random_su11(rng) for _ in range(size - 1)]
         gram = orbit_gram(model, els)
-        eigs = np.sort(np.linalg.eigvalsh(gram))
+        eigs = np.linalg.eigvalsh(gram)  # ascending
         scale = float(np.max(np.abs(eigs)))
-        worst_sig = max(worst_sig, float(eigs[-2]) / scale)
-        if eigenvalue_signature(eigs, zero_band)[0] != 1:
+        sig.append(float(eigs[-2]) / scale)
+        if eigenvalue_signature(eigs)[0] != 1:
             continue  # no (1, k) embedding to round-trip; gram_one_positive fails instead
-        space, pts = reconstruct_embedding(gram, zero_band)
+        space, pts = reconstruct_embedding(gram)
         p = np.array(pts)
         rt = float(np.max(np.abs(p @ space.matrix.T @ p.conj().T - gram)))
-        worst_rt = max(worst_rt, rt / max(1.0, scale))
+        roundtrip.append(rt / max(1.0, scale))
     return [
-        check("gram_one_positive", worst_sig, zero_band),
-        check("gram_embedding_roundtrip", worst_rt, roundtrip_tol),
+        check("gram_one_positive", sig, ZERO_BAND),
+        check("gram_embedding_roundtrip", roundtrip, ROUNDTRIP_TOL),
     ]
 
 
@@ -306,12 +297,11 @@ def cartan_limit_tolerance(model: RepModel, b_max: float) -> float:
     return max(1e-3, 5.0 * b_max ** (-model.t))
 
 
-def limit_checks(model: RepModel, schedule, tolerance: float | None = None) -> list[dict]:
+def limit_checks(model: RepModel, schedule) -> list[dict]:
     """Cartan limit of the model approaches minus the angular invariant."""
     est = cartan_limit_estimate(model, schedule)
     b_max = est.points[-1][0]
-    if tolerance is None:
-        tolerance = cartan_limit_tolerance(model, b_max)
+    tolerance = cartan_limit_tolerance(model, b_max)
     raw_dev = abs(est.points[-1][1] + model_arg(model))
     ext_dev = abs(est.extrapolated + model_arg(model))
     return [
@@ -323,9 +313,7 @@ def limit_checks(model: RepModel, schedule, tolerance: float | None = None) -> l
 # ---------------------------------------------------------------------------
 # suite assembly
 
-def run_suite(
-    model: RepModel, suite: str, rng: np.random.Generator, schedule, tol_scale: float = 1.0
-) -> list[dict]:
+def run_suite(model: RepModel, suite: str, rng: np.random.Generator, schedule) -> list[dict]:
     checks: list[dict] = []
     if suite in ("relations", "all"):
         checks += relation_checks(model)
@@ -343,8 +331,4 @@ def run_suite(
         checks += gram_checks(model, rng)
     if suite in ("limits", "all"):
         checks += limit_checks(model, schedule)
-    if tol_scale != 1.0:
-        for c in checks:
-            c["tolerance"] *= tol_scale
-            c["pass"] = bool(c["residual"] <= c["tolerance"])
     return sorted(checks, key=lambda c: c["name"])

@@ -17,7 +17,6 @@ from horocomb.kernelspace import (
     cvec,
     eta1,
     eta2,
-    gram_matrix,
     hyperbolic_orbit_gram,
     pairing,
     pairing_matrix,
@@ -165,14 +164,16 @@ def test_pairing_linear_in_k1():
 
 def test_eta_gram():
     ctx = ctx_for(0.5, 0.2)
-    gram = gram_matrix([eta1(ctx), eta2(ctx)])
+    vs = [eta1(ctx), eta2(ctx)]
+    gram = pairing_matrix(vs, vs)
     np.testing.assert_allclose(gram, [[0, 1], [1, 0]], atol=1e-15)
     assert signature_count(gram) == (1, 0, 1)
 
 
 def test_c_gram_negative_definite_and_nonsingular():
     ctx = KernelContext(0.5, -1.0)
-    gram = gram_matrix([cvec(ctx, b) for b in (1, 2, 3)])
+    vs = [cvec(ctx, b) for b in (1, 2, 3)]
+    gram = pairing_matrix(vs, vs)
     eigs = np.linalg.eigvalsh(gram)
     assert all(e < 0 for e in eigs)  # eigen oracle: strictly negative
     assert signature_count(gram) == (0, 0, 3)
@@ -184,7 +185,8 @@ def test_c_gram_negative_definite_and_nonsingular():
 def test_c_family_linearly_independent(t):
     ctx = ctx_for(t, min(0.8 * t * math.pi / 2, 0.7))
     params = [Fraction(k, 3) for k in (-9, -5, -2, -1, 1, 2, 5, 9)]
-    gram = gram_matrix([cvec(ctx, b) for b in params])
+    vs = [cvec(ctx, b) for b in params]
+    gram = pairing_matrix(vs, vs)
     norm = np.linalg.norm(gram, 2)
     assert abs(np.linalg.det(gram / norm)) > 1e-12
 

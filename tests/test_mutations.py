@@ -3,10 +3,15 @@ that are meant to see it, and no others.
 
 Each defect is patched in for one test only.  The relation family runs on
 trimmed samples (a few relation parameters and group-law pairs) to stay
-fast; every defect below fails the same checks on the full samples.
+fast; every defect below fails the same checks on the full samples.  The
+kernel and limits suites run as `model verify` runs them, at (0.5, 0.3)
+with seed 7.  A NaN in the kernel must fail the checks that read it: the
+worst sample decides, and NaN is never below a tolerance.
 """
 
+import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +19,15 @@ import numpy as np
 from horocomb import blockrep, kernelspace
 from horocomb.cli import main
 from horocomb.combination import make_representation
+from horocomb.invariants import geometric_schedule
 from horocomb.kernelspace import ETA1, FormalVector, KernelContext
-from horocomb.verification import homomorphism_checks, relation_checks, sigma_relation_checks
+from horocomb.verification import (
+    check,
+    homomorphism_checks,
+    relation_checks,
+    run_suite,
+    sigma_relation_checks,
+)
 
 RELATIONS = {
     "relation_s_multiplicative",
@@ -35,6 +47,14 @@ def failing_relation_family(t=0.5, r=0.3) -> set[str]:
         + homomorphism_checks(model, np.random.default_rng(7), n_pairs=3)
     )
     assert {c["name"] for c in checks} == RELATIONS | SIGMA_RELATIONS | HOMOMORPHISMS
+    return {c["name"] for c in checks if not c["pass"]}
+
+
+def failing_kernel_and_limits(t=0.5, r=0.3) -> set[str]:
+    model = make_representation(t, r)
+    rng = np.random.default_rng(7)
+    schedule = geometric_schedule()
+    checks = run_suite(model, "kernel", rng, schedule) + run_suite(model, "limits", rng, schedule)
     return {c["name"] for c in checks if not c["pass"]}
 
 
@@ -60,8 +80,48 @@ def diag_with_scaled_eta1(original):
     return apply_diag
 
 
+def diag_with_shifted_t(original):
+    def apply_diag(ctx, lam, v):
+        shifted = dataclasses.replace(ctx, t=ctx.t + 0.01)
+        return FormalVector(ctx, original(shifted, lam, v).coeffs)
+
+    return apply_diag
+
+
+def zero_delta(self, b):
+    return 0.0
+
+
+def nan_delta(self, b):
+    return math.nan
+
+
+def nan_c_pair(self, b, d):
+    return complex(math.nan, math.nan)
+
+
+def test_check_takes_the_worst_sample():
+    assert check("x", [0.1, 0.3, 0.2], 0.25) == {
+        "name": "x",
+        "residual": 0.3,
+        "tolerance": 0.25,
+        "pass": False,
+    }
+    assert check("x", 0.2, 0.25)["pass"] and check("x", [], 0.25)["residual"] == 0.0
+
+
+def test_check_fails_on_a_nan_sample():
+    rec = check("x", [0.1, math.nan], 1.0)
+    assert math.isnan(rec["residual"]) and rec["pass"] is False
+    assert check("x", math.nan, 1.0)["pass"] is False
+
+
 def test_relation_family_passes_without_a_defect():
     assert failing_relation_family() == set()
+
+
+def test_kernel_and_limits_pass_without_a_defect():
+    assert failing_kernel_and_limits() == set()
 
 
 def test_block_k_without_conjugate_fails_every_relation(monkeypatch):
@@ -101,3 +161,57 @@ def test_flipped_delta_in_orbit_gram_fails_the_gram_suite(capsys, monkeypatch):
     assert verdicts == {"gram_one_positive": False, "gram_embedding_roundtrip": True}
     assert rep["pass"] is False
 
+
+
+def test_zero_delta_fails_relations_kernel_addition_and_limits(monkeypatch):
+    # Delta zeroed both in the scalar kernel and in the C-Gram of pairing_matrix
+    original = kernelspace._power_and_delta
+
+    def zero_power_delta(ctx, x):
+        return original(ctx, x)[0], np.zeros_like(x)
+
+    monkeypatch.setattr(KernelContext, "delta", zero_delta)
+    monkeypatch.setattr(kernelspace, "_power_and_delta", zero_power_delta)
+    assert failing_relation_family() == RELATIONS | SIGMA_RELATIONS | HOMOMORPHISMS
+    assert failing_kernel_and_limits() == {
+        "amap_unitary",
+        "cartan_limit_extrapolated",
+        "cartan_limit_raw",
+        "kernel_k_addition",
+    }
+
+
+def test_shifted_t_in_diag_fails_the_diagonal_words_and_dilation(monkeypatch):
+    monkeypatch.setattr(blockrep, "_apply_diag", diag_with_shifted_t(blockrep._apply_diag))
+    assert failing_relation_family() == SIGMA_RELATIONS | HOMOMORPHISMS
+    assert failing_kernel_and_limits() == {"kernel_c_dilation"}
+
+
+def test_nan_delta_fails_the_kernel_checks_that_read_it(capsys, monkeypatch):
+    monkeypatch.setattr(KernelContext, "delta", nan_delta)
+    argv = ["model", "verify", "--t", "0.5", "--r", "0.3", "--suite", "kernel", "--seed", "7"]
+    assert main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    failed = {c["name"] for c in rep["checks"] if not c["pass"]}
+    assert failed == {
+        "amap_unitary",
+        "kernel_delta_odd",
+        "kernel_delta_scaling",
+        "kernel_k_addition",
+        "kernel_pair_imag_delta",
+        "kernel_sigma_helper_scalar",
+    }
+    assert all(math.isnan(c["residual"]) for c in rep["checks"] if c["name"] in failed)
+
+
+def test_nan_c_pair_fails_the_kernel_checks_that_read_it(monkeypatch):
+    monkeypatch.setattr(KernelContext, "c_pair", nan_c_pair)
+    assert failing_kernel_and_limits() == {
+        "amap_unitary",
+        "cartan_limit_extrapolated",
+        "cartan_limit_raw",
+        "kernel_k_addition",
+        "kernel_pair_imag_delta",
+        "kernel_pair_real_norms",
+        "kernel_sigma_helper_scalar",
+    }

@@ -287,6 +287,25 @@ def test_presentation_check_negative_control():
     assert report["u_additive"] > 1e-3
 
 
+def test_presentation_check_keeps_a_nan_deviation():
+    # a NaN after the first sample must not be dropped by the reduction
+    calls = []
+
+    def deviation(a, b):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else matrix_deviation(a, b)
+
+    report = presentation_check(
+        u_image=lambda r: g(1, r),
+        w_image=s_element(),
+        mul=lambda a, b: a * b,
+        identity=SU11Element.identity(),
+        deviation=deviation,
+    )
+    assert math.isnan(report["u_additive"])
+    assert max(v for k, v in report.items() if k != "u_additive") < 1e-10
+
+
 def test_letter_validation():
     with pytest.raises(ValidationError):
         U(0)
