@@ -16,12 +16,14 @@ HOROCOMB_TOLERANCE_SCALE that is not a positive number), 3 internal error.
 Errors after parsing print {"error": ...} as JSON on stderr, never a
 traceback.  The environment variable HOROCOMB_TOLERANCE_SCALE multiplies
 every tolerance; each check record is rebuilt once with the scaled
-tolerance, by the same rule that made it.
+tolerance, by the same rule that made it.  The argument parser is built
+once per process, and every `main` call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -268,6 +270,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="horocomb", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -280,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="type/displacement/factorization of an element")
     add_element_args(p)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func="cmd_classify")
 
     p = sub.add_parser("maps", help="SL2(R) and SO(1,2) images of an element")
     add_element_args(p)
     p.add_argument("--sample", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_maps)
+    p.set_defaults(func="cmd_maps")
 
     model = sub.add_parser("model", help="build or verify a (t, r) model")
     msub = model.add_subparsers(dest="model_command", required=True)
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = msub.add_parser("build")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
-    p.set_defaults(func=cmd_model_build)
+    p.set_defaults(func="cmd_model_build")
 
     p = msub.add_parser("verify")
     p.add_argument("--t", type=float, required=True)
@@ -304,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-start", type=float, default=1.0)
     p.add_argument("--b-ratio", type=float, default=10.0)
     p.add_argument("--steps", type=_int_at_least(2), default=9)
-    p.set_defaults(func=cmd_model_verify)
+    p.set_defaults(func="cmd_model_verify")
 
     p = sub.add_parser("combine", help="horospherical combination at fixed t")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--r1", type=float, required=True)
     p.add_argument("--r2", type=float, required=True)
     p.add_argument("--u", type=float, required=True)
-    p.set_defaults(func=cmd_combine)
+    p.set_defaults(func="cmd_combine")
 
     p = sub.add_parser("cartan-limit", help="angle sequence along a b-schedule")
     p.add_argument("--t", type=float, required=True)
@@ -320,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-ratio", type=float, default=10.0)
     p.add_argument("--steps", type=_int_at_least(2), default=9)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_cartan_limit)
+    p.set_defaults(func="cmd_cartan_limit")
 
     p = sub.add_parser("gns-check", help="orbit Gram eigenvalues and signature")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--sample", type=_int_at_least(3), default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gns_check)
+    p.set_defaults(func="cmd_gns_check")
 
     return ap
 
@@ -339,7 +342,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[args.func](args)  # `func` names the handler, found per call
     except (ParameterError, ValidationError) as exc:
         verdict = getattr(exc, "verdict", None)
         payload = {"error": str(exc)}

@@ -88,12 +88,13 @@ def validate_params(t: float, r: float) -> str:
 # angle limits
 
 def geometric_schedule(start: float = 1.0, ratio: float = 10.0, steps: int = 9) -> list[Fraction]:
-    """b-values start * ratio^k, rationalized exactly; each must be a
-    finite float, since the Cartan angle is evaluated at float(b)."""
-    if ratio <= 1.0 or start <= 0:
-        raise ValidationError("schedule needs start > 0 and ratio > 1")
-    start_f = Fraction(start).limit_denominator(10**6)
-    ratio_f = Fraction(ratio).limit_denominator(10**6)
+    """b-values start * ratio^k, start and ratio rationalized to denominators
+    <= 10^6; each must be a finite float, as the angle is taken at float(b)."""
+    if not (math.isfinite(start) and math.isfinite(ratio)):
+        raise ValidationError(f"schedule needs a finite start and ratio, got {start!r}, {ratio!r}")
+    start_f, ratio_f = su11.rationalize(start, 10**6), su11.rationalize(ratio, 10**6)
+    if ratio_f <= 1 or start_f <= 0:
+        raise ValidationError("schedule needs start > 0 and ratio > 1 at denominators <= 10^6")
     schedule = [start_f * ratio_f**k for k in range(steps)]
     if schedule and schedule[-1] > sys.float_info.max:
         raise ValidationError(

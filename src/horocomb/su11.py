@@ -49,6 +49,28 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected a rational number, got {type(x).__name__}")
 
 
+def rationalize(x, cap: int) -> Fraction:
+    """Fraction(x).limit_denominator(cap) for cap >= 1, on integers: the same
+    continued-fraction bounds, one Fraction built at the end.  x lies between
+    the bounds, so p1/q1 is the closer (or tied) one when 2 d q <= d0."""
+    n0, d0 = x.as_integer_ratio()  # OverflowError for inf, ValueError for NaN
+    if d0 <= cap:
+        return Fraction(n0, d0)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = n0, d0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > cap:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (cap - q0) // q1
+    if 2 * d * (q0 + k * q1) <= d0:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def _part(i: int) -> property:
     return property(lambda self: Fraction(self._num[i], self._den), doc="exact entry part, a Fraction")
 
@@ -99,9 +121,7 @@ class SU11Element:
     @staticmethod
     def from_alpha_beta(alpha: complex, beta: complex, denom_cap: int | None = None) -> "SU11Element":
         parts = [alpha.real, alpha.imag, beta.real, beta.imag]
-        fracs = [Fraction(p) for p in parts]
-        if denom_cap is not None:
-            fracs = [f.limit_denominator(denom_cap) for f in fracs]
+        fracs = [Fraction(p) if denom_cap is None else rationalize(p, denom_cap) for p in parts]
         return SU11Element(*fracs)
 
     @staticmethod
@@ -411,9 +431,9 @@ def random_su11(rng: np.random.Generator, denom_cap: int = DENOM_CAP) -> SU11Ele
     denominators <= denom_cap so that downstream symbolic parameters stay
     exactly representable.
     """
-    lam = Fraction(math.exp(rng.uniform(-1.0, 1.0))).limit_denominator(denom_cap)
-    b = Fraction(rng.uniform(-2.0, 2.0)).limit_denominator(denom_cap)
-    d = Fraction(rng.uniform(-2.0, 2.0)).limit_denominator(denom_cap)
+    lam = rationalize(math.exp(rng.uniform(-1.0, 1.0)), denom_cap)
+    b = rationalize(rng.uniform(-2.0, 2.0), denom_cap)
+    d = rationalize(rng.uniform(-2.0, 2.0), denom_cap)
     eps = int(rng.integers(0, 2))
     out = g(lam, b)
     if eps:

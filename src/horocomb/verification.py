@@ -32,9 +32,11 @@ from .blockrep import (
 )
 from .invariants import cartan_limit_estimate, model_arg
 from .kernelspace import (
+    ETA2,
     ZERO_BAND,
     FormalVector,
     KernelContext,
+    csym,
     cvec,
     eigenvalue_signature,
     reconstruct_embedding,
@@ -74,15 +76,17 @@ def check(name: str, residuals, tolerance: float) -> dict:
 
 def _nonzero_rational(rng: np.random.Generator, lo=-2.0, hi=2.0) -> Fraction:
     while True:
-        x = Fraction(float(rng.uniform(lo, hi))).limit_denominator(su11.DENOM_CAP)
+        x = su11.rationalize(float(rng.uniform(lo, hi)), su11.DENOM_CAP)
         if x != 0:
             return x
 
 
-def _vec_residual(v: FormalVector, scale: float) -> float:
-    if not v.coeffs:
-        return 0.0
-    return max(abs(c) for c in v.coeffs.values()) / max(scale, 1.0)
+def _plus_c_part(coeffs: dict, v: FormalVector) -> dict:
+    """coeffs plus the C-coefficients of v, symbol by symbol."""
+    for s, c in v.coeffs.items():
+        if s[0] == "c":
+            coeffs[s] = coeffs.get(s, 0.0) + c
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -148,30 +152,28 @@ def kernel_identity_checks(
     t = ctx.t
     res: dict[str, list[float]] = defaultdict(list)
     for _ in range(n_samples):
-        lam = Fraction(math.exp(rng.uniform(-1.0, 1.0))).limit_denominator(su11.DENOM_CAP)
+        lam = su11.rationalize(math.exp(rng.uniform(-1.0, 1.0)), su11.DENOM_CAP)
         b = _nonzero_rational(rng)
         d = _nonzero_rational(rng)
         lam_f, b_f, d_f = float(lam), float(b), float(d)
         kb, kd = ctx.block_k(b_f), ctx.block_k(d_f)
         scale = max(1.0, abs(kb), abs(kd))
 
+        # vector identities: every coefficient of lhs - rhs, over scale, is a sample
         # c-cocycle: c(b+d) = c(b) + pi(b) c(d)
-        pi_b_cd = apply(op_unipotent(model, b), cvec(ctx, d))
-        pi_b_cd = FormalVector(ctx, {s: c for s, c in pi_b_cd.coeffs.items() if s[0] == "c"})
-        rhs = cvec(ctx, b) + pi_b_cd
-        lhs = cvec(ctx, b + d) if b + d != 0 else FormalVector(ctx, {})
-        res["c_cocycle"].append(_vec_residual(lhs - rhs, scale))
+        diff = _plus_c_part({csym(b): 1.0}, apply(op_unipotent(model, b), cvec(ctx, d)))
+        if b + d != 0:
+            diff[csym(b + d)] = 1.0 - diff.get(csym(b + d), 0.0)
+        res["c_cocycle"] += [abs(c) / scale for c in diff.values()]
 
         # dilation intertwiner: lam^t pi(lam,0) c(b) = c(lam^2 b)
-        img = apply(op_diag(model, lam), cvec(ctx, b))
-        res["c_dilation"].append(
-            _vec_residual(lam_f**t * img - cvec(ctx, lam * lam * b), scale)
-        )
+        diff = {s: lam_f**t * c for s, c in apply(op_diag(model, lam), cvec(ctx, b)).coeffs.items()}
+        diff[csym(lam * lam * b)] = diff.get(csym(lam * lam * b), 0.0) - 1.0
+        res["c_dilation"] += [abs(c) / scale for c in diff.values()]
 
         # diagonal part carries no cocycle or kernel term
-        diag_img = apply(op_diag(model, lam), FormalVector(ctx, {("eta2",): 1.0}))
-        off = {s: c for s, c in diag_img.coeffs.items() if s != ("eta2",)}
-        res["diag_no_cocycle"].append(_vec_residual(FormalVector(ctx, off), scale))
+        diag_img = apply(op_diag(model, lam), FormalVector(ctx, {ETA2: 1.0}))
+        res["diag_no_cocycle"] += [abs(c) / scale for s, c in diag_img.coeffs.items() if s != ETA2]
 
         # Delta scaling and oddness
         res["delta_scaling"].append(
@@ -207,10 +209,10 @@ def kernel_identity_checks(
                     ac, cvec(ctx, -ebi)
                 )
                 res["sigma_helper_scalar"].append(abs(lhs1) / scale)
-                pi_ac = apply(op_unipotent(model, ebi), ac)
-                pi_ac = FormalVector(ctx, {s: c for s, c in pi_ac.coeffs.items() if s[0] == "c"})
-                vec = ctx.block_k(float(eb)) * cvec(ctx, ebi) + pi_ac
-                res["sigma_helper_vector"].append(_vec_residual(vec, scale))
+                vec = _plus_c_part(
+                    {csym(ebi): ctx.block_k(float(eb))}, apply(op_unipotent(model, ebi), ac)
+                )
+                res["sigma_helper_vector"] += [abs(c) / scale for c in vec.values()]
 
     return [check(f"kernel_{k}", v, tolerance) for k, v in sorted(res.items())]
 
@@ -256,6 +258,10 @@ def gram_checks(model: RepModel, rng: np.random.Generator) -> list[dict]:
     for size in GRAM_SIZES:
         els = [su11.SU11Element.identity()] + [su11.random_su11(rng) for _ in range(size - 1)]
         gram = orbit_gram(model, els)
+        if not np.isfinite(gram).all():  # eigvalsh would raise; both checks fail instead
+            sig.append(math.nan)
+            roundtrip.append(math.nan)
+            continue
         eigs = np.linalg.eigvalsh(gram)  # ascending
         scale = float(np.max(np.abs(eigs)))
         sig.append(float(eigs[-2]) / scale)

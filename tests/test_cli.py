@@ -167,6 +167,15 @@ TR = ["--t", "0.5", "--r", "0.3"]
         # the schedule's last b (10^309) is beyond the float range
         ["cartan-limit", *TR, "--steps", "310"],
         ["model", "verify", *TR, "--suite", "limits", "--steps", "310"],
+        # a non-finite start or ratio, or one that rationalizes to 0 or 1
+        ["cartan-limit", *TR, "--b-start", "inf"],
+        ["cartan-limit", *TR, "--b-ratio", "nan"],
+        ["cartan-limit", *TR, "--b-ratio", "inf"],
+        ["cartan-limit", *TR, "--b-start", "1e-300"],
+        ["cartan-limit", *TR, "--b-ratio", "1.0000001"],
+        ["model", "verify", *TR, "--suite", "limits", "--b-start", "inf"],
+        ["model", "verify", *TR, "--suite", "limits", "--b-ratio", "nan"],
+        ["model", "verify", *TR, "--suite", "limits", "--b-start", "1e-300"],
     ],
 )
 def test_malformed_element_exits_2_with_json_error(capsys, argv):
@@ -226,3 +235,23 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     # the innermost horocomb frame: here the dispatch in main
     assert payload["where"].startswith("cli.py:") and payload["where"].endswith(" in main")
 
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; each call must print and exit
+    # as it does on a freshly built parser
+    import horocomb.cli as cli
+
+    calls = [
+        ["maps", "--lam", "2", "--sample", "0"],
+        ["model", "verify", *TR, "--suite", "kernel", "--seed", "3"],
+        ["maps", "--lam", "2", "--sample", "0"],
+        ["--help"],
+    ]
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in first] == [2, 0, 2, 0]
+    cli.build_parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in calls] == first

@@ -100,6 +100,21 @@ def nan_c_pair(self, b, d):
     return complex(math.nan, math.nan)
 
 
+def unip_with_nan_behind_a_rounding_residual(original):
+    # the first C-coefficient off by a rounding-size 1e-12 (well inside the
+    # tolerance), the second NaN: a reduction that keeps its first sample
+    # drops the NaN
+    def apply_unip(ctx, b, v):
+        coeffs = dict(original(ctx, b, v).coeffs)
+        cs = [s for s in coeffs if s[0] == "c"]
+        if len(cs) > 1:
+            coeffs[cs[0]] *= 1 + 1e-12
+            coeffs[cs[1]] = math.nan
+        return FormalVector(ctx, coeffs)
+
+    return apply_unip
+
+
 def test_check_takes_the_worst_sample():
     assert check("x", [0.1, 0.3, 0.2], 0.25) == {
         "name": "x",
@@ -215,3 +230,21 @@ def test_nan_c_pair_fails_the_kernel_checks_that_read_it(monkeypatch):
         "kernel_pair_real_norms",
         "kernel_sigma_helper_scalar",
     }
+
+
+def test_nan_c_coefficient_fails_the_cocycle(monkeypatch):
+    # every coefficient of a vector identity is a sample, not just the first
+    planted = unip_with_nan_behind_a_rounding_residual(blockrep._apply_unip)
+    monkeypatch.setattr(blockrep, "_apply_unip", planted)
+    assert failing_kernel_and_limits() == {"kernel_c_cocycle"}
+
+
+def test_nan_gram_fails_the_gram_suite(capsys, monkeypatch):
+    # a non-finite orbit Gram is a failed check (exit 1), not an internal
+    # error from its eigendecomposition
+    monkeypatch.setattr(KernelContext, "delta", nan_delta)
+    argv = ["model", "verify", "--t", "0.5", "--r", "0.3", "--suite", "gram", "--seed", "7"]
+    assert main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    verdicts = {c["name"]: c["pass"] for c in rep["checks"]}
+    assert verdicts == {"gram_one_positive": False, "gram_embedding_roundtrip": False}

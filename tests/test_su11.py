@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horocomb import hypgeo
@@ -23,6 +23,7 @@ from horocomb.su11 import (
     presentation_check,
     psi_to_sl2,
     random_su11,
+    rationalize,
     reconstruct,
     s_element,
     s_word,
@@ -425,3 +426,29 @@ def test_entry_properties_are_fractions():
         assert type(value) is Fraction
     assert m.alpha == complex(float(m.a_re), float(m.a_im))
     assert m.beta == complex(float(m.b_re), float(m.b_im))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 2**20))
+@example(0.0, 1)
+@example(-0.0, 2**20)
+@example(5e-324, 2**16)  # smallest subnormal
+@example(-2.2250738585072014e-308, 10**6)  # smallest normal
+@example(1.7976931348623157e308, 1)
+@example(-3.0, 7)
+@example(0.5, 1)  # a tie between 0 and 1: the stdlib keeps the convergent
+@example(-1.5, 1)
+def test_rationalize_is_limit_denominator(x, cap):
+    got, want = rationalize(x, cap), Fraction(x).limit_denominator(cap)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize(
+    "x, error", [(math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError)]
+)
+def test_rationalize_rejects_non_finite_like_fraction(x, error):
+    with pytest.raises(error):
+        Fraction(x).limit_denominator(2**16)
+    with pytest.raises(error):
+        rationalize(x, 2**16)
