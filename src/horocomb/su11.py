@@ -51,8 +51,7 @@ def _frac(x) -> Fraction:
 
 def rationalize(x, cap: int) -> Fraction:
     """Fraction(x).limit_denominator(cap) for cap >= 1, on integers: the same
-    continued-fraction bounds, one Fraction built at the end.  x lies between
-    the bounds, so p1/q1 is the closer (or tied) one when 2 d q <= d0."""
+    continued-fraction bounds, x between them; p1/q1 (ties too) if 2 d (q0 + k q1) <= d0."""
     n0, d0 = x.as_integer_ratio()  # OverflowError for inf, ValueError for NaN
     if d0 <= cap:
         return Fraction(n0, d0)

@@ -82,7 +82,6 @@ def _nonzero_rational(rng: np.random.Generator, lo=-2.0, hi=2.0) -> Fraction:
 
 
 def _plus_c_part(coeffs: dict, v: FormalVector) -> dict:
-    """coeffs plus the C-coefficients of v, symbol by symbol."""
     for s, c in v.coeffs.items():
         if s[0] == "c":
             coeffs[s] = coeffs.get(s, 0.0) + c
@@ -163,12 +162,14 @@ def kernel_identity_checks(
         # c-cocycle: c(b+d) = c(b) + pi(b) c(d)
         diff = _plus_c_part({csym(b): 1.0}, apply(op_unipotent(model, b), cvec(ctx, d)))
         if b + d != 0:
-            diff[csym(b + d)] = 1.0 - diff.get(csym(b + d), 0.0)
+            s = csym(b + d)
+            diff[s] = 1.0 - diff.get(s, 0.0)
         res["c_cocycle"] += [abs(c) / scale for c in diff.values()]
 
         # dilation intertwiner: lam^t pi(lam,0) c(b) = c(lam^2 b)
         diff = {s: lam_f**t * c for s, c in apply(op_diag(model, lam), cvec(ctx, b)).coeffs.items()}
-        diff[csym(lam * lam * b)] = diff.get(csym(lam * lam * b), 0.0) - 1.0
+        s = csym(lam * lam * b)
+        diff[s] = diff.get(s, 0.0) - 1.0
         res["c_dilation"] += [abs(c) / scale for c in diff.values()]
 
         # diagonal part carries no cocycle or kernel term
