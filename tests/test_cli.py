@@ -236,7 +236,6 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert payload["where"].startswith("cli.py:") and payload["where"].endswith(" in main")
 
 
-
 def test_one_parser_serves_every_call(capsys):
     # the parser is built once per process; each call must print and exit
     # as it does on a freshly built parser
