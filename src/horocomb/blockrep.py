@@ -121,8 +121,7 @@ def compose(a: RepOperator, b: RepOperator) -> RepOperator:
 
 
 def _apply_diag(ctx: KernelContext, lam: Fraction, v: FormalVector) -> FormalVector:
-    t = ctx.t
-    lam_t = float(lam) ** t
+    lam_t = float(lam) ** ctx.t
     out: dict = {}
     for s, c in v.coeffs.items():
         if s == ETA1:

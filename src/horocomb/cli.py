@@ -34,7 +34,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import su11
-from .blockrep import orbit_gram
 from .combination import combine_models, CombinationSpec, make_representation, mix_weights_for_target
 from .errors import ParameterError, ValidationError
 from .invariants import (
@@ -45,7 +44,7 @@ from .invariants import (
 )
 from .kernelspace import eigenvalue_signature
 from .su11 import SU11Element, bruhat_factor, classify_su11, displacement_su11, phi_to_so12, psi_to_sl2
-from .verification import cartan_limit_tolerance, check, run_suite
+from .verification import cartan_limit_tolerance, check, orbit_spectrum, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -238,10 +237,7 @@ def cmd_cartan_limit(args) -> int:
 
 def cmd_gns_check(args) -> int:
     model = make_representation(args.t, args.r)
-    rng = np.random.default_rng(args.seed)
-    els = [SU11Element.identity()] + [su11.random_su11(rng) for _ in range(args.sample - 1)]
-    gram = orbit_gram(model, els)
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = orbit_spectrum(model, np.random.default_rng(args.seed), args.sample)[1]
     sig = eigenvalue_signature(eigs)
     ok = sig[0] == 1
     _emit_json(

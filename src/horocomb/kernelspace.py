@@ -8,10 +8,13 @@ fixed by the homogeneous kernel K(b) and the phase function Delta(b):
     <C(b), C(d)> = (|b-d|^t - |b|^t - |d|^t) * (-Re K1)
                    + i (Delta(b-d) - Delta(b) + Delta(d)),
 
-with Delta(b) = sign(b) |b|^t Im K1.  K1 is stored with Re K1 <= 0 and
-Im K1 >= 0; the quantity -conj(K1), whose argument in [0, pi/2] is the
-model's angular invariant, appears as the matrix coefficient of the
-operators built in `blockrep` (see `KernelContext.block_k`).
+with Delta(b) = sign(b) |b|^t Im K1.  `_c_gram` states this once for the
+scalar `KernelContext.c_pair`, which builds the operators, and the packed
+`pairing_matrix`, which builds every Gram; K (`KernelContext.k`) is stated
+apart, so that `kernel_k_addition` can check it against the formula.  K1 is
+stored with Re K1 <= 0 and Im K1 >= 0; the quantity -conj(K1), whose argument
+in [0, pi/2] is the model's angular invariant, appears as the matrix
+coefficient of the operators built in `blockrep` (see `KernelContext.block_k`).
 
 C-parameters are exact rationals; symbols compare exactly, never by float
 proximity.  This keeps operator pipelines decidable: |b - d|^t is wildly
@@ -57,6 +60,7 @@ class KernelContext:
     Invariants: 0 < t <= 2; K1 != 0; Re K1 <= 0 <= Im K1; Im K1 = 0 when
     t = 2; Re K1 = 0 forces t = 1 (and such degenerate contexts refuse
     C-symbols entirely -- the model is finite-dimensional there).
+    `delta` and `c_pair` evaluate `_c_gram`, the C-kernel of every Gram; `k` is stated apart.
     """
 
     t: float
@@ -83,6 +87,7 @@ class KernelContext:
 
     def k(self, b) -> complex:
         """K(b) = |b|^t (Re K1 + i sign(b) Im K1); K(0) = 0 by continuity."""
+        # apart from `_c_gram` on purpose: kernel_k_addition checks K against it
         b = float(b)
         if b == 0.0:
             return 0.0
@@ -98,22 +103,29 @@ class KernelContext:
         return -self.k(b).conjugate()
 
     def delta(self, b) -> float:
-        b = float(b)
-        if b == 0.0:
-            return 0.0
-        return math.copysign(abs(b) ** self.t, b) * self.k1.imag
+        """Delta(b) = sign(b) |b|^t Im K1 (`_power_and_delta`)."""
+        return _power_and_delta(self, float(b))[1]
 
     def c_pair(self, b, d) -> complex:
-        """<C(b), C(d)>: the form on the cocycle span (negative definite)."""
+        """<C(b), C(d)> (`_c_gram`): the form on the cocycle span (negative definite)."""
         if self.degenerate:
             raise UsageError("degenerate context (Re K1 = 0) carries no C-symbols")
         b, d = float(b), float(d)
         if b == 0.0 or d == 0.0:
             raise ValidationError("C-symbols require nonzero parameters")
-        t = self.t
-        re = (abs(b - d) ** t - abs(b) ** t - abs(d) ** t) * (-self.k1.real)
-        im = self.delta(b - d) - self.delta(b) + self.delta(d)
-        return complex(re, im)
+        return complex(*_c_gram(self, b, d, *_power_and_delta(self, b), *_power_and_delta(self, d)))
+
+
+def _power_and_delta(ctx: KernelContext, x):
+    """|x|^t and Delta(x) = sign(x) |x|^t Im K1 of a float or an array."""
+    ax = abs(x) ** ctx.t
+    return ax, ((x > 0) * ax - (x < 0) * ax) * ctx.k1.imag  # np.sign: 3x the cost on a float
+
+
+def _c_gram(ctx: KernelContext, b, d, power_b, delta_b, power_d, delta_d) -> tuple:
+    """Re and Im of <C(b), C(d)> elementwise, given |.|^t and Delta of b and d."""
+    power, delta = _power_and_delta(ctx, b - d)
+    return (power - power_b - power_d) * -ctx.k1.real, delta - delta_b + delta_d
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +192,6 @@ class FormalVector:
     def __rmul__(self, scalar: complex) -> "FormalVector":
         return FormalVector(self.ctx, {s: scalar * c for s, c in self.coeffs.items()})
 
-    def symbols(self) -> set:
-        return set(self.coeffs)
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.coeffs.values())
 
@@ -213,12 +222,6 @@ def pairing(u: FormalVector, v: FormalVector) -> complex:
             elif s2[0] != "c" and s1 != s2:  # <eta1,eta2> = 1, isotropic diagonals
                 total += c1 * c2.conjugate()
     return complex(total)
-
-
-def _power_and_delta(ctx: KernelContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|x|^t and Delta(x) = sign(x) |x|^t Im K1, elementwise."""
-    ax = np.abs(x) ** ctx.t
-    return ax, np.sign(x) * ax * ctx.k1.imag
 
 
 SLOT_BROADCAST = 8192  # entries of the (n, slots, m, slots) kernel array built at once
@@ -254,11 +257,10 @@ def _pack(vecs: Sequence[FormalVector]) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _slot_part(ctx: KernelContext, u: tuple[np.ndarray, ...], v: tuple[np.ndarray, ...]) -> np.ndarray:
     """sum over slots p, q of c_u[i, p] <C(x_u[i, p]), C(x_v[j, q])> conj(c_v[j, q]),
     u and v each (x, c, |x|^t, Delta(x)) of shape (n, slots)."""
-    x_u, c_u, power_u, delta_u = (a[:, :, None, None] for a in u)
-    x_v, c_v, power_v, delta_v = v
-    pd, dd = _power_and_delta(ctx, x_u - x_v)
-    gram = (pd - power_u - power_v) * -ctx.k1.real + 1j * (dd - delta_u + delta_v)
-    return np.einsum("ip,ipjq,jq->ij", c_u[:, :, 0, 0], gram, c_v.conj())
+    x_u, c_u, *terms_u = (a[:, :, None, None] for a in u)
+    x_v, c_v, *terms_v = v
+    re, im = _c_gram(ctx, x_u, x_v, *terms_u, *terms_v)
+    return np.einsum("ip,ipjq,jq->ij", c_u[:, :, 0, 0], re + 1j * im, c_v.conj())
 
 
 def pairing_matrix(us: Sequence[FormalVector], vs: Sequence[FormalVector]) -> np.ndarray:
@@ -267,11 +269,11 @@ def pairing_matrix(us: Sequence[FormalVector], vs: Sequence[FormalVector]) -> np
     Both families are packed slot by slot (`_pack`): vector i's p-th
     C-symbol is the float x[i, p] with coefficient c[i, p].  The C-part is
     the sum over slot pairs (p, q) of c_u[:, p] conj(c_v[:, q])^T times the
-    C-symbol Gram on x_u[:, p] - x_v[:, q] (the `c_pair` formula, term for
-    term), so symbols are never merged.  Small families evaluate every slot
-    pair in one (n, slots_u, m, slots_v) array, which keeps the numpy call
-    count fixed; above SLOT_BROADCAST entries the slot pairs go one at a
-    time, so each temporary is only (n, m).
+    C-symbol Gram of x_u[:, p] and x_v[:, q] (`_c_gram`, the formula of
+    `c_pair`), so symbols are never merged.  Small families evaluate every
+    slot pair in one (n, slots_u, m, slots_v) array, which keeps the numpy
+    call count fixed; above SLOT_BROADCAST entries the slot pairs go one at
+    a time, so each temporary is only (n, m).
     """
     vecs = [*us, *vs]
     n = len(us)
@@ -314,7 +316,7 @@ def eigenvalue_signature(eigs: np.ndarray, zero_band: float = ZERO_BAND) -> tupl
     band = zero_band * scale
     npos = int(np.sum(eigs > band))
     nzero = int(np.sum(np.abs(eigs) <= band))
-    return (npos, nzero, len(eigs) - npos - nzero)
+    return (npos, nzero, int(np.sum(eigs < -band)))  # a NaN counts in none
 
 
 def phase_corrected_gram(z: np.ndarray, base_pair: np.ndarray, power: float = 1.0) -> np.ndarray:

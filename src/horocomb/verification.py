@@ -253,25 +253,28 @@ def amap_checks(model: RepModel, tolerance: float = 1e-10) -> list[dict]:
 # ---------------------------------------------------------------------------
 # orbit geometry
 
+def orbit_spectrum(model: RepModel, rng: np.random.Generator, size: int) -> tuple:
+    """The orbit Gram of the identity and size - 1 seeded elements, and its
+    ascending eigenvalues: all NaN for a non-finite Gram, where eigvalsh would raise."""
+    els = [su11.SU11Element.identity()] + [su11.random_su11(rng) for _ in range(size - 1)]
+    gram = orbit_gram(model, els)
+    return gram, np.linalg.eigvalsh(gram) if np.isfinite(gram).all() else np.full(size, math.nan)
+
+
 def gram_checks(model: RepModel, rng: np.random.Generator) -> list[dict]:
     """One positive eigenvalue in orbit Grams; embedding round-trips them."""
     sig, roundtrip = [], []
     for size in GRAM_SIZES:
-        els = [su11.SU11Element.identity()] + [su11.random_su11(rng) for _ in range(size - 1)]
-        gram = orbit_gram(model, els)
-        if not np.isfinite(gram).all():  # eigvalsh would raise; both checks fail instead
-            sig.append(math.nan)
-            roundtrip.append(math.nan)
-            continue
-        eigs = np.linalg.eigvalsh(gram)  # ascending
+        gram, eigs = orbit_spectrum(model, rng, size)
         scale = float(np.max(np.abs(eigs)))
         sig.append(float(eigs[-2]) / scale)
-        if eigenvalue_signature(eigs)[0] != 1:
-            continue  # no (1, k) embedding to round-trip; gram_one_positive fails instead
-        space, pts = reconstruct_embedding(gram)
-        p = np.array(pts)
-        rt = float(np.max(np.abs(p @ space.matrix.T @ p.conj().T - gram)))
-        roundtrip.append(rt / max(1.0, scale))
+        if math.isnan(scale):  # a non-finite Gram fails both checks
+            roundtrip.append(scale)
+        elif eigenvalue_signature(eigs)[0] == 1:  # else no (1, k) embedding to round-trip
+            space, pts = reconstruct_embedding(gram)
+            p = np.array(pts)
+            rt = float(np.max(np.abs(p @ space.matrix.T @ p.conj().T - gram)))
+            roundtrip.append(rt / max(1.0, scale))
     return [
         check("gram_one_positive", sig, ZERO_BAND),
         check("gram_embedding_roundtrip", roundtrip, ROUNDTRIP_TOL),

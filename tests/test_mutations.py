@@ -12,6 +12,7 @@ worst sample decides, and NaN is never below a tolerance.
 import dataclasses
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -88,12 +89,27 @@ def diag_with_shifted_t(original):
     return apply_diag
 
 
-def zero_delta(self, b):
-    return 0.0
+def power_and_delta_with(transform):
+    # Delta changed in the one formula that delta, c_pair and pairing_matrix share
+    original = kernelspace._power_and_delta
+
+    def power_and_delta(ctx, x):
+        power, delta = original(ctx, x)
+        return power, transform(delta)
+
+    return power_and_delta
 
 
-def nan_delta(self, b):
-    return math.nan
+def times_nan(delta):
+    return delta * math.nan
+
+
+def slot_part_with_flipped_delta(ctx, u, v):
+    # kernelspace._slot_part with its Delta term negated: the packed Gram only
+    x_u, c_u, *terms_u = (a[:, :, None, None] for a in u)
+    x_v, c_v, *terms_v = v
+    re, im = kernelspace._c_gram(ctx, x_u, x_v, *terms_u, *terms_v)
+    return np.einsum("ip,ipjq,jq->ij", c_u[:, :, 0, 0], re - 1j * im, c_v.conj())
 
 
 def nan_c_pair(self, b, d):
@@ -160,13 +176,7 @@ def test_scaled_eta1_in_diag_fails_the_words_with_a_diagonal(monkeypatch):
 def test_flipped_delta_in_orbit_gram_fails_the_gram_suite(capsys, monkeypatch):
     # with Delta flipped the orbit Gram has two positive eigenvalues: a failed
     # check (exit 1), not an internal error from the embedding round trip
-    original = kernelspace._power_and_delta
-
-    def flipped(ctx, x):
-        power, delta = original(ctx, x)
-        return power, -delta
-
-    monkeypatch.setattr(kernelspace, "_power_and_delta", flipped)
+    monkeypatch.setattr(kernelspace, "_slot_part", slot_part_with_flipped_delta)
     argv = ["model", "verify", "--t", "0.9", "--r", "1.2", "--suite", "gram", "--seed", "0"]
     code = main(argv)
     out = capsys.readouterr().out
@@ -177,16 +187,21 @@ def test_flipped_delta_in_orbit_gram_fails_the_gram_suite(capsys, monkeypatch):
     assert rep["pass"] is False
 
 
+def test_flipped_delta_fails_the_words_amap_kernel_addition_and_limits(monkeypatch):
+    # Delta negated where the operators and every Gram read it; while the packed
+    # Gram stated Delta apart, this defect there failed none of the 27 checks
+    monkeypatch.setattr(kernelspace, "_power_and_delta", power_and_delta_with(operator.neg))
+    model = make_representation(0.5, 0.3)
+    checks = run_suite(model, "all", np.random.default_rng(7), geometric_schedule())
+    assert len(checks) == 27
+    assert {c["name"] for c in checks if not c["pass"]} == RELATIONS | SIGMA_RELATIONS | (
+        HOMOMORPHISMS
+        | {"amap_unitary", "cartan_limit_extrapolated", "cartan_limit_raw", "kernel_k_addition"}
+    )
+
 
 def test_zero_delta_fails_relations_kernel_addition_and_limits(monkeypatch):
-    # Delta zeroed both in the scalar kernel and in the C-Gram of pairing_matrix
-    original = kernelspace._power_and_delta
-
-    def zero_power_delta(ctx, x):
-        return original(ctx, x)[0], np.zeros_like(x)
-
-    monkeypatch.setattr(KernelContext, "delta", zero_delta)
-    monkeypatch.setattr(kernelspace, "_power_and_delta", zero_power_delta)
+    monkeypatch.setattr(kernelspace, "_power_and_delta", power_and_delta_with(lambda d: d * 0.0))
     assert failing_relation_family() == RELATIONS | SIGMA_RELATIONS | HOMOMORPHISMS
     assert failing_kernel_and_limits() == {
         "amap_unitary",
@@ -203,7 +218,7 @@ def test_shifted_t_in_diag_fails_the_diagonal_words_and_dilation(monkeypatch):
 
 
 def test_nan_delta_fails_the_kernel_checks_that_read_it(capsys, monkeypatch):
-    monkeypatch.setattr(KernelContext, "delta", nan_delta)
+    monkeypatch.setattr(kernelspace, "_power_and_delta", power_and_delta_with(times_nan))
     argv = ["model", "verify", "--t", "0.5", "--r", "0.3", "--suite", "kernel", "--seed", "7"]
     assert main(argv) == 1
     rep = json.loads(capsys.readouterr().out)
@@ -242,9 +257,18 @@ def test_nan_c_coefficient_fails_the_cocycle(monkeypatch):
 def test_nan_gram_fails_the_gram_suite(capsys, monkeypatch):
     # a non-finite orbit Gram is a failed check (exit 1), not an internal
     # error from its eigendecomposition
-    monkeypatch.setattr(KernelContext, "delta", nan_delta)
+    monkeypatch.setattr(kernelspace, "_power_and_delta", power_and_delta_with(times_nan))
     argv = ["model", "verify", "--t", "0.5", "--r", "0.3", "--suite", "gram", "--seed", "7"]
     assert main(argv) == 1
     rep = json.loads(capsys.readouterr().out)
     verdicts = {c["name"]: c["pass"] for c in rep["checks"]}
     assert verdicts == {"gram_one_positive": False, "gram_embedding_roundtrip": False}
+
+
+def test_nan_gram_fails_gns_check(capsys, monkeypatch):
+    # gns-check shares gram_checks' guard: exit 1 with a JSON verdict, not 3
+    monkeypatch.setattr(kernelspace, "_power_and_delta", power_and_delta_with(times_nan))
+    assert main(["gns-check", "--t", "0.5", "--r", "0.3"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["pass"] is False
+    assert captured.err == ""

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts in scripts/ run against the package API."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_script(name: str, *args: str, **extra_env: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **extra_env)
     env.pop("HOROCOMB_TOLERANCE_SCALE", None)
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
@@ -32,3 +33,31 @@ def test_run_grid_passes_one_cell():
     proc = run_script("run_grid.py", "--nt", "1", "--nr", "1")
     assert proc.returncode == 0, proc.stderr
     assert "0 failing cells" in proc.stdout
+
+
+def bench_pairs_args(parent: Path, change: Path, out: Path, pairs: str) -> list[str]:
+    return ["--parent", str(parent), "--change", str(change), "--workload", "cli_mix",
+            "--seed", "1", "--pairs", pairs, "--out", str(out)]
+
+
+def test_bench_pairs_refuses_one_pair(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script("bench_pairs.py", *bench_pairs_args(ROOT, ROOT, out, "1"))
+    assert proc.returncode == 2
+    assert "--pairs must be at least 2" in proc.stderr
+    assert not out.exists()
+
+
+def test_bench_pairs_refuses_a_parent_that_is_not_a_git_checkout(tmp_path):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "bench.json"
+    parent.mkdir()
+    change.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", change)
+    # git must not find a repository above tmp_path either
+    proc = run_script(
+        "bench_pairs.py", *bench_pairs_args(parent, change, out, "2"),
+        GIT_CEILING_DIRECTORIES=str(tmp_path),
+    )
+    assert proc.returncode == 1
+    assert f"{parent}: git status --porcelain --untracked-files=no failed" in proc.stderr
+    assert "pair 0" not in proc.stderr and not out.exists()
