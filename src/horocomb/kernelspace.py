@@ -103,7 +103,6 @@ class KernelContext:
         return -self.k(b).conjugate()
 
     def delta(self, b) -> float:
-        """Delta(b) = sign(b) |b|^t Im K1 (`_power_and_delta`)."""
         return _power_and_delta(self, float(b))[1]
 
     def c_pair(self, b, d) -> complex:
@@ -117,9 +116,10 @@ class KernelContext:
 
 
 def _power_and_delta(ctx: KernelContext, x):
-    """|x|^t and Delta(x) = sign(x) |x|^t Im K1 of a float or an array."""
+    """|x|^t and Delta(x) = sign(x) |x|^t Im K1 of a float or an array; floats use math.copysign."""
     ax = abs(x) ** ctx.t
-    return ax, ((x > 0) * ax - (x < 0) * ax) * ctx.k1.imag  # np.sign: 3x the cost on a float
+    copysign = np.copysign if isinstance(x, np.ndarray) else math.copysign
+    return ax, copysign(ax, x) * ctx.k1.imag
 
 
 def _c_gram(ctx: KernelContext, b, d, power_b, delta_b, power_d, delta_d) -> tuple:
