@@ -118,7 +118,7 @@ class KernelContext:
 def _power_and_delta(ctx: KernelContext, x):
     """|x|^t and Delta(x) = sign(x) |x|^t Im K1 of a float or an array; floats use math.copysign."""
     ax = abs(x) ** ctx.t
-    copysign = np.copysign if isinstance(x, np.ndarray) else math.copysign
+    copysign = math.copysign if type(x) is float else np.copysign
     return ax, copysign(ax, x) * ctx.k1.imag
 
 
