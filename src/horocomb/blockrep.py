@@ -35,6 +35,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
+from .hypgeo import triple_product
 from .kernelspace import (
     ETA1,
     ETA2,
@@ -300,10 +301,7 @@ def orbit_gram(model: RepModel, elements: Sequence[SU11Element]) -> np.ndarray:
     return phase_corrected_gram(z[:, :-1], z[:, -1])
 
 
-def model_cartan(model: RepModel, m1: SU11Element, m2: SU11Element) -> float:
-    """Cart(rho(m1) x, rho(m2) x, x) from formal pairings."""
+def model_cartan(model: RepModel, a: RepOperator, b: RepOperator) -> float:
+    """Cart(a x, b x, x) at the basepoint x, from formal pairings."""
     x = basepoint(model)
-    v1 = apply(evaluate(model, m1), x)
-    v2 = apply(evaluate(model, m2), x)
-    prod = pairing(v1, v2) * pairing(v2, x) * pairing(x, v1)
-    return cmath.phase(prod)
+    return cmath.phase(triple_product(pairing, apply(a, x), apply(b, x), x))

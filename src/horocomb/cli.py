@@ -44,7 +44,7 @@ from .invariants import (
 )
 from .kernelspace import eigenvalue_signature
 from .su11 import SU11Element, bruhat_factor, classify_su11, displacement_su11, phi_to_so12, psi_to_sl2
-from .verification import cartan_limit_tolerance, check, orbit_spectrum, run_suite
+from .verification import check, limit_checks, orbit_spectrum, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -229,10 +229,8 @@ def cmd_cartan_limit(args) -> int:
         sys.stdout.write("b,cartan,extrapolated\n")
         for (b, v), e in zip(est.points, est.running):
             sys.stdout.write(f"{b!r},{v!r},{e!r}\n")
-    dev = abs(est.extrapolated + model_arg(model))
-    tol = cartan_limit_tolerance(model, est.points[-1][0])
-    (verdict,) = _scaled([check("cartan_limit_extrapolated", dev, tol)])
-    return EXIT_OK if verdict["pass"] else EXIT_CHECK_FAILED
+    verdicts = {c["name"]: c["pass"] for c in _scaled(limit_checks(model, est))}
+    return EXIT_OK if verdicts["cartan_limit_extrapolated"] else EXIT_CHECK_FAILED
 
 
 def cmd_gns_check(args) -> int:

@@ -196,6 +196,11 @@ def distance(x: HPoint, y: HPoint) -> float:
     return math.acosh(max(1.0, num / den))
 
 
+def triple_product(pair, x, y, z) -> complex:
+    """pair(x, y) pair(y, z) pair(z, x): the triple product whose argument is Cartan's angle."""
+    return pair(x, y) * pair(y, z) * pair(z, x)
+
+
 def cartan_argument(x, y, z) -> float:
     """Angular invariant Arg(B(x,y) B(y,z) B(z,x)) of a triple of points.
 
@@ -205,10 +210,7 @@ def cartan_argument(x, y, z) -> float:
     raises ValidationError.
     """
     space = _same_space(x, y, z)
-    p1 = space.pair(x.lift, y.lift)
-    p2 = space.pair(y.lift, z.lift)
-    p3 = space.pair(z.lift, x.lift)
-    prod = p1 * p2 * p3
+    prod = triple_product(space.pair, x.lift, y.lift, z.lift)
     scale = (
         np.linalg.norm(x.lift) * np.linalg.norm(y.lift) * np.linalg.norm(z.lift)
     ) ** 2

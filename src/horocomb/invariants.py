@@ -23,10 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import su11
-from .blockrep import RepModel, model_cartan
+from .blockrep import RepModel, model_cartan, op_unipotent
 from .errors import ValidationError
+from .hypgeo import HermitianFormSpace, triple_product
 from .kernelspace import KernelContext
+
+_ISOTROPIC_LINE = HermitianFormSpace("complex", [[0, 1], [1, 0]])  # basis xi1, xi2
 
 
 @dataclass(frozen=True)
@@ -106,23 +111,22 @@ def geometric_schedule(start: float = 1.0, ratio: float = 10.0, steps: int = 9) 
 def model_cartan_at(model: RepModel, b) -> float:
     """Cart(rho(1,b) x, rho(1,-b) x, x) at the sigma-fixed basepoint."""
     b = Fraction(b) if not isinstance(b, Fraction) else b
-    return model_cartan(model, su11.g(1, b), su11.g(1, -b))
+    return model_cartan(model, op_unipotent(model, b), op_unipotent(model, -b))
 
 
 def finite_cartan_at(b: float) -> float:
     """The same angle for the tautological action on the complex hyperbolic
     line, at the basepoint [xi1 + xi2]; tends to -pi/2 as b grows.
 
-    Computed from raw pairings in the isotropic basis, where the unipotent
-    is [[1, ib], [0, 1]] and [xi1 + xi2] lifts to (1, 1); this stays
-    stable for b far beyond the reach of generic point validation.
+    Computed from raw lifts in the isotropic basis, where the unipotent
+    is [[1, ib], [0, 1]] and [xi1 + xi2] lifts to (1, 1); the lifts skip
+    point validation, so this stays stable for b far beyond its reach.
     """
     b = float(b)
-    pair = lambda u, v: u[0] * v[1].conjugate() + u[1] * v[0].conjugate()
-    w = (1.0 + 0.0j, 1.0 + 0.0j)
-    wp = (1.0 + 1.0j * b, 1.0 + 0.0j)
-    wm = (1.0 - 1.0j * b, 1.0 + 0.0j)
-    prod = pair(wp, wm) * pair(wm, w) * pair(w, wp)
+    w = np.array([1.0, 1.0], dtype=complex)
+    wp = np.array([1.0 + 1.0j * b, 1.0])
+    wm = np.array([1.0 - 1.0j * b, 1.0])
+    prod = triple_product(_ISOTROPIC_LINE.pair, wp, wm, w)
     return math.atan2(prod.imag, prod.real)
 
 
@@ -159,9 +163,8 @@ def cartan_slope(model: RepModel, b_schedule: Sequence) -> float:
     ones over the schedule; slope * pi/2 approximates the angular invariant."""
     num = 0.0
     den = 0.0
-    for b in b_schedule:
-        cm = model_cartan_at(model, b)
-        cf = finite_cartan_at(float(b))
+    for b, cm in cartan_limit_estimate(model, b_schedule).points:
+        cf = finite_cartan_at(b)
         num += cm * cf
         den += cf * cf
     return num / den

@@ -10,11 +10,11 @@ fixed by the homogeneous kernel K(b) and the phase function Delta(b):
 
 with Delta(b) = sign(b) |b|^t Im K1.  `_c_gram` states this once for the
 scalar `KernelContext.c_pair`, which builds the operators, and the packed
-`pairing_matrix`, which builds every Gram; K (`KernelContext.k`) is stated
-apart, so that `kernel_k_addition` can check it against the formula.  K1 is
-stored with Re K1 <= 0 and Im K1 >= 0; the quantity -conj(K1), whose argument
-in [0, pi/2] is the model's angular invariant, appears as the matrix
-coefficient of the operators built in `blockrep` (see `KernelContext.block_k`).
+`pairing_matrix`, which builds every Gram.  K (`KernelContext.k`) is stated
+apart, so that `kernel_k_addition`, `kernel_pair_imag_delta` and
+`kernel_delta_odd` can test the formula against it.  K1 is stored with
+Re K1 <= 0 <= Im K1; -conj(K1), whose argument in [0, pi/2] is the angular
+invariant, is the matrix coefficient of the `blockrep` operators (`block_k`).
 
 C-parameters are exact rationals; symbols compare exactly, never by float
 proximity.  This keeps operator pipelines decidable: |b - d|^t is wildly
@@ -87,7 +87,7 @@ class KernelContext:
 
     def k(self, b) -> complex:
         """K(b) = |b|^t (Re K1 + i sign(b) Im K1); K(0) = 0 by continuity."""
-        # apart from `_c_gram` on purpose: kernel_k_addition checks K against it
+        # apart from `_c_gram` on purpose: three kernel checks test the formula against K
         b = float(b)
         if b == 0.0:
             return 0.0

@@ -30,7 +30,7 @@ from .blockrep import (
     orbit_gram,
     pairing,
 )
-from .invariants import cartan_limit_estimate, model_arg
+from .invariants import CartanLimit, cartan_limit_estimate, model_arg
 from .kernelspace import (
     ETA2,
     ZERO_BAND,
@@ -176,44 +176,41 @@ def kernel_identity_checks(
         diag_img = apply(op_diag(model, lam), FormalVector(ctx, {ETA2: 1.0}))
         res["diag_no_cocycle"] += [abs(c) / scale for s, c in diag_img.coeffs.items() if s != ETA2]
 
-        # Delta scaling and oddness
+        # Delta scaling, and Delta against Im K, which is stated apart from it
         res["delta_scaling"].append(
             abs(lam_f ** (2 * t) * ctx.delta(b_f) - ctx.delta(lam_f**2 * b_f)) / scale
         )
-        res["delta_odd"].append(abs(ctx.delta(b_f) + ctx.delta(-b_f)) / scale)
+        res["delta_odd"].append(abs(ctx.delta(b_f) + ctx.k(-b_f).imag) / scale)
 
-        # pairing vs Delta and norms (the two sesquilinear identities)
-        if not ctx.degenerate:
-            pd = ctx.c_pair(b_f, d_f)
-            res["pair_imag_delta"].append(
-                abs(pd.imag - (ctx.delta(b_f - d_f) - ctx.delta(b_f) + ctx.delta(d_f))) / scale
-            )
-            norm2 = lambda x: ctx.c_pair(x, x).real
-            target = 0.0 if b == d else -norm2(b_f - d_f) / 2
-            res["pair_real_norms"].append(
-                abs(pd.real - (target + norm2(b_f) / 2 + norm2(d_f) / 2)) / scale
-            )
+        # pairing vs Im K and norms (the two sesquilinear identities)
+        pd = ctx.c_pair(b_f, d_f)
+        res["pair_imag_delta"].append(
+            abs(pd.imag - (ctx.k(b_f - d_f).imag - ctx.k(b_f).imag + ctx.k(d_f).imag)) / scale
+        )
+        norm2 = lambda x: ctx.c_pair(x, x).real
+        target = 0.0 if b == d else -norm2(b_f - d_f) / 2
+        res["pair_real_norms"].append(
+            abs(pd.real - (target + norm2(b_f) / 2 + norm2(d_f) / 2)) / scale
+        )
 
         # K homogeneity, conjugation, addition
         res["k_homogeneous"].append(abs(ctx.block_k(lam_f * b_f) - lam_f**t * kb) / scale)
         res["k_conjugation"].append(abs(ctx.block_k(-b_f) - kb.conjugate()) / scale)
-        if not ctx.degenerate:
-            ksum = kb + kd + ctx.c_pair(d_f, -b_f)
-            res["k_addition"].append(abs(ctx.block_k(b_f + d_f) - ksum) / scale)
+        ksum = kb + kd + ctx.c_pair(d_f, -b_f)
+        res["k_addition"].append(abs(ctx.block_k(b_f + d_f) - ksum) / scale)
 
         # sigma-helper identities at eps b and eps / b
-        if not ctx.degenerate:
-            for eps in (1, -1):
-                eb, ebi = eps * b, Fraction(eps) / b
-                ac = apply(op_sigma(model), cvec(ctx, eb))
-                lhs1 = 1.0 + ctx.block_k(float(eb)) * ctx.block_k(float(ebi)) + pairing(
-                    ac, cvec(ctx, -ebi)
-                )
-                res["sigma_helper_scalar"].append(abs(lhs1) / scale)
-                vec = _plus_c_part(
-                    {csym(ebi): ctx.block_k(float(eb))}, apply(op_unipotent(model, ebi), ac)
-                )
-                res["sigma_helper_vector"] += [abs(c) / scale for c in vec.values()]
+        for eps in (1, -1):
+            eb, ebi = eps * b, Fraction(eps) / b
+            ac = apply(op_sigma(model), cvec(ctx, eb))
+            lhs1 = 1.0 + ctx.block_k(float(eb)) * ctx.block_k(float(ebi)) + pairing(
+                ac, cvec(ctx, -ebi)
+            )
+            res["sigma_helper_scalar"].append(abs(lhs1) / scale)
+            vec = _plus_c_part(
+                {csym(ebi): ctx.block_k(float(eb))}, apply(op_unipotent(model, ebi), ac)
+            )
+            res["sigma_helper_vector"] += [abs(c) / scale for c in vec.values()]
 
     return [check(f"kernel_{k}", v, tolerance) for k, v in sorted(res.items())]
 
@@ -302,16 +299,10 @@ def homomorphism_checks(
     ]
 
 
-def cartan_limit_tolerance(model: RepModel, b_max: float) -> float:
-    """Tolerance of the extrapolated Cartan limit at the last schedule point b_max."""
-    return max(1e-3, 5.0 * b_max ** (-model.t))
-
-
-def limit_checks(model: RepModel, schedule) -> list[dict]:
-    """Cartan limit of the model approaches minus the angular invariant."""
-    est = cartan_limit_estimate(model, schedule)
+def limit_checks(model: RepModel, est: CartanLimit) -> list[dict]:
+    """The Cartan limit approaches minus the angular invariant, within max(1e-3, 5 b_max^-t)."""
     b_max = est.points[-1][0]
-    tolerance = cartan_limit_tolerance(model, b_max)
+    tolerance = max(1e-3, 5.0 * b_max ** (-model.t))
     raw_dev = abs(est.points[-1][1] + model_arg(model))
     ext_dev = abs(est.extrapolated + model_arg(model))
     return [
@@ -333,12 +324,11 @@ def run_suite(model: RepModel, suite: str, rng: np.random.Generator, schedule) -
         checks += kernel_identity_checks(model, rng, n_samples=60)
         checks += amap_checks(model)
         k1 = model.ctx.k1
-        if not model.ctx.degenerate:
-            ka = complex(0.4 * k1.real, 0.9 * k1.imag)
-            kb = complex(0.6 * k1.real, 0.1 * k1.imag)
-            checks.append(combined_k_additivity_check(model.t, ka, kb, rng))
+        ka = complex(0.4 * k1.real, 0.9 * k1.imag)
+        kb = complex(0.6 * k1.real, 0.1 * k1.imag)
+        checks.append(combined_k_additivity_check(model.t, ka, kb, rng))
     if suite in ("gram", "all"):
         checks += gram_checks(model, rng)
     if suite in ("limits", "all"):
-        checks += limit_checks(model, schedule)
+        checks += limit_checks(model, cartan_limit_estimate(model, schedule))
     return sorted(checks, key=lambda c: c["name"])

@@ -354,7 +354,7 @@ def test_projective_homomorphism_with_phase_identity():
         )
         assert res.equal
         assert abs(abs(res.phase) - 1.0) < 1e-10
-        alpha = model_cartan(m, a * b, a)
+        alpha = model_cartan(m, evaluate(m, a * b), evaluate(m, a))
         corrected = res.phase * unit_phase(a * b) / (unit_phase(a) * unit_phase(b))
         assert corrected == pytest.approx(cmath.exp(-1j * alpha), abs=1e-10)
 

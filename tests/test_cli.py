@@ -109,6 +109,21 @@ def test_cartan_limit_csv(capsys):
     assert abs(float(last[1]) + 0.3) < 0.02
 
 
+@pytest.mark.parametrize(
+    "extra, scale, code",
+    [([], None, 0), (["--steps", "208"], None, 1), ([], "1e-18", 1)],
+)
+def test_cartan_limit_exit_is_the_extrapolated_verdict(capsys, monkeypatch, extra, scale, code):
+    # one verdict: cartan-limit's exit is the cartan_limit_extrapolated record of the limits suite
+    if scale is not None:
+        monkeypatch.setenv("HOROCOMB_TOLERANCE_SCALE", scale)
+    tr = ["--t", "0.5", "--r", "0.3", *extra]
+    _, out, _ = run_cli(capsys, "model", "verify", *tr, "--suite", "limits")
+    verdict = {c["name"]: c for c in json.loads(out)["checks"]}["cartan_limit_extrapolated"]
+    assert verdict["pass"] is (code == 0)
+    assert run_cli(capsys, "cartan-limit", *tr)[0] == code
+
+
 def test_combine_command(capsys):
     code, out, _ = run_cli(
         capsys, "combine", "--t", "0.5", "--r1", "0", "--r2", str(0.25 * math.pi), "--u", "0.5"

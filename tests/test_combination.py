@@ -17,7 +17,8 @@ from horocomb.combination import (
 from horocomb.errors import ParameterError, UsageError, ValidationError
 from horocomb.invariants import equivalent_models, model_arg
 from horocomb.kernelspace import KernelContext, positive_type_check, signature_count
-from horocomb.verification import relation_checks, sigma_relation_checks
+from horocomb.invariants import geometric_schedule
+from horocomb.verification import relation_checks, run_suite, sigma_relation_checks
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +146,14 @@ def test_endpoint_tautological_at_one_is_degenerate():
     m = endpoint_tautological(1.0)
     assert m.ctx.degenerate
     assert model_arg(m) == pytest.approx(math.pi / 2)
+
+
+@pytest.mark.parametrize("suite", ["relations", "kernel", "gram", "limits", "all"])
+def test_every_suite_refuses_the_degenerate_endpoint(suite):
+    # the finite-dimensional model has no C-symbols: each suite stops at its first one
+    m = endpoint_tautological(1.0)
+    with pytest.raises(UsageError, match="carries no C-symbols"):
+        run_suite(m, suite, np.random.default_rng(7), geometric_schedule())
 
 
 def test_tautological_power_kernel_is_positive_type():

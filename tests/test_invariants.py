@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from horocomb.blockrep import RepModel, busemann_character_model
+from horocomb.blockrep import RepModel, busemann_character_model, evaluate, model_cartan
 from horocomb.errors import ValidationError
 from horocomb.invariants import (
     InvariantPair,
@@ -86,6 +86,17 @@ def test_real_model_has_zero_cartan():
     model = make(0.5, 0.0)
     for b in (1, 10, 1000):
         assert model_cartan_at(model, b) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "t, r", [(0.5, 0.3), (0.3, 0.0), (0.7, 0.35 * math.pi), (1.0, 0.9), (0.01, 0.0157)]
+)
+def test_model_cartan_at_is_the_angle_of_the_evaluated_elements(t, r):
+    # the unipotents alone give exactly the angle of rho(g(1, b)) and rho(g(1, -b))
+    model = make(t, r)
+    for b in [*geometric_schedule(), Fraction(1, 3), Fraction(-7, 2)]:
+        want = model_cartan(model, evaluate(model, g(1, b)), evaluate(model, g(1, -b)))
+        assert model_cartan_at(model, b) == want
 
 
 def test_finite_cartan_cross_validated():

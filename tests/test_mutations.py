@@ -199,7 +199,9 @@ def test_flipped_delta_fails_the_words_amap_kernel_addition_and_limits(monkeypat
         "amap_unitary",
         "cartan_limit_extrapolated",
         "cartan_limit_raw",
+        "kernel_delta_odd",
         "kernel_k_addition",
+        "kernel_pair_imag_delta",
     }
 
 
@@ -210,7 +212,9 @@ def test_zero_delta_fails_relations_kernel_addition_and_limits(monkeypatch):
         "amap_unitary",
         "cartan_limit_extrapolated",
         "cartan_limit_raw",
+        "kernel_delta_odd",
         "kernel_k_addition",
+        "kernel_pair_imag_delta",
     }
 
 

@@ -1,10 +1,13 @@
 """Smoke tests: the scripts in scripts/ run against the package API."""
 
+import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +30,15 @@ def test_cartan_limit_sweep_writes_csv():
     lines = proc.stdout.splitlines()
     assert lines[0] == "b,finite,model_r=0.1,model_r=0.2,model_r=0.3"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("args", [["--steps", "400"], ["--b-ratio", "1"], ["--t", "1.5"]])
+def test_cartan_limit_sweep_refuses_bad_parameters_in_one_line(args):
+    proc = run_script("cartan_limit_sweep.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "error" in json.loads(proc.stderr)
 
 
 def test_run_grid_passes_one_cell():
