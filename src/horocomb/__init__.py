@@ -29,10 +29,8 @@ from .combination import (
     mix_weights_for_target,
 )
 from .invariants import (
-    InvariantPair,
     cartan_limit_estimate,
     cartan_slope,
-    equivalent_models,
     model_arg,
     validate_params,
 )
@@ -49,7 +47,6 @@ from .kernelspace import (
 __all__ = [
     "CombinationSpec",
     "FormalVector",
-    "InvariantPair",
     "KernelContext",
     "RepModel",
     "apply",
@@ -61,7 +58,6 @@ __all__ = [
     "compose",
     "endpoint_real",
     "endpoint_tautological",
-    "equivalent_models",
     "evaluate",
     "make_representation",
     "mix_weights_for_target",

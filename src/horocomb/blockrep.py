@@ -49,7 +49,7 @@ from .kernelspace import (
     pairing_matrix,
     phase_corrected_gram,
 )
-from .su11 import ParabolicCoords, SU11Element, _frac, bruhat_factor, factor_parabolic
+from .su11 import ParabolicCoords, SU11Element, _frac, bruhat_factor
 
 PROBE_CAP = 64
 BASE_PROBE_PARAMS = (
@@ -211,8 +211,8 @@ def evaluate(model: RepModel, m: SU11Element) -> RepOperator:
 
 def busemann_character_model(model: RepModel, m: SU11Element) -> float:
     """t * ln(lambda) for m = +/- g(lambda, b); errors off the subgroup P."""
-    f = factor_parabolic(m)
-    if f is None:
+    f = bruhat_factor(m)
+    if not isinstance(f, ParabolicCoords):
         raise UsageError("element does not stabilize the fixed boundary point")
     return model.t * math.log(float(f.lam))
 
@@ -247,7 +247,6 @@ def compare_up_to_phase(
     op_b: RepOperator,
     probes: Sequence[FormalVector] | None = None,
     exact: bool = False,
-    tol: float = 1e-9,
 ) -> CompareResult:
     """Decide op_a = theta * op_b on the probe span, |theta| = 1.
 
@@ -256,9 +255,9 @@ def compare_up_to_phase(
     equal coefficients are equal vectors; no pairing is needed.  theta is
     fitted at the largest coefficient the two images share (theta = 1 when
     they share none), and the residual is the largest coefficient
-    difference over max(1, largest |coefficient|).  ``exact`` pins
-    theta = 1 for identities that must hold on the nose, not just
-    projectively.
+    difference over max(1, largest |coefficient|); at most 1e-9 is equal.
+    ``exact`` pins theta = 1 for identities that must hold on the nose, not
+    just projectively.
     """
     if probes is None:
         probes = probe_vectors(model, op_a, op_b)
@@ -282,7 +281,7 @@ def compare_up_to_phase(
         theta = complex(ca[idx] / cb[idx])
         theta /= abs(theta)
     residual = float(np.max(np.abs(ca - theta * cb))) / scale
-    return CompareResult(residual <= tol, theta, residual)
+    return CompareResult(residual <= 1e-9, theta, residual)
 
 
 # ---------------------------------------------------------------------------

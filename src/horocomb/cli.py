@@ -87,14 +87,18 @@ def _parse_rational_pair(text: str, flag: str) -> tuple[Fraction, Fraction]:
 
 
 def _element_from_args(args) -> SU11Element:
+    """The element of --lam [--b] or --alpha [--beta], each entry at most the largest float."""
     if args.lam is not None:
         b = _rational(args.b, "--b") if args.b is not None else Fraction(0)
-        return su11.g(_rational(args.lam, "--lam"), b)
-    if args.alpha is None:
+        el = su11.g(_rational(args.lam, "--lam"), b)
+    elif args.alpha is not None:
+        alpha = _parse_rational_pair(args.alpha, "--alpha")
+        el = SU11Element(*alpha, *_parse_rational_pair(args.beta or "0,0", "--beta"))
+    else:
         raise ValidationError("give either --lam [--b] or --alpha [--beta]")
-    a_re, a_im = _parse_rational_pair(args.alpha, "--alpha")
-    b_re, b_im = _parse_rational_pair(args.beta, "--beta") if args.beta else (Fraction(0), Fraction(0))
-    return SU11Element(a_re, a_im, b_re, b_im)
+    if max(abs(el.a_re), abs(el.a_im), abs(el.b_re), abs(el.b_im)) > sys.float_info.max:
+        raise ValidationError("the element's entries exceed the largest float")
+    return el
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -128,6 +132,9 @@ def cmd_classify(args) -> int:
 
 def cmd_maps(args) -> int:
     el = _element_from_args(args)
+    # the images' entries and their sums stay below 3 (|alpha|^2 + |beta|^2)
+    if 3 * (el.a_re**2 + el.a_im**2 + el.b_re**2 + el.b_im**2) > sys.float_info.max:
+        raise ValidationError("maps needs 3 (|alpha|^2 + |beta|^2) within the largest float")
     rng = np.random.default_rng(args.seed)
     psi, phi = [], []
     for _ in range(args.sample):
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maps", help="SL2(R) and SO(1,2) images of an element")
     add_element_args(p)
     p.add_argument("--sample", type=_int_at_least(1), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func="cmd_maps")
 
     model = sub.add_parser("model", help="build or verify a (t, r) model")
@@ -297,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--suite", choices=["relations", "gram", "kernel", "limits", "all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--b-start", type=float, default=1.0)
     p.add_argument("--b-ratio", type=float, default=10.0)
     p.add_argument("--steps", type=_int_at_least(2), default=9)
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--sample", type=_int_at_least(3), default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func="cmd_gns_check")
 
     return ap

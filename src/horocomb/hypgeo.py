@@ -3,9 +3,9 @@
 Points of the projective model are positive lines of a Hermitian (or real
 symmetric) form B with exactly one positive eigenvalue.  The metric is
 cosh d([v],[w]) = |B(v,w)| / (B(v,v) B(w,w))^(1/2).  On top of that this
-module computes the angular invariant of triples, Busemann values at
-boundary points, and the elliptic/parabolic/hyperbolic classification of
-form isometries with their translation length.
+module computes the angular invariant of triples and the
+elliptic/parabolic/hyperbolic classification of form isometries with their
+translation length.
 
 Conventions: B is linear in the first argument, antilinear in the second.
 Lifts are stored unnormalized; operations normalize on the fly.
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateConfigurationError, UsageError, ValidationError
 
 STRUCT_TOL = 1e-12       # self-adjointness of the form matrix
-FORM_TOL = 1e-10         # isometry / isotropy input validation
+FORM_TOL = 1e-10         # isometry input validation
 # |abs(eigenvalue) - 1| below this counts as unit modulus.  Conjugating a
 # parabolic 3x3 matrix perturbs the triple eigenvalue by O(eps^(1/3)), so
 # this band must sit well above 1e-6.
@@ -78,9 +78,6 @@ class HermitianFormSpace:
     def point(self, lift) -> "HPoint":
         return HPoint(self, np.asarray(lift, dtype=complex))
 
-    def boundary_point(self, lift) -> "BoundaryPoint":
-        return BoundaryPoint(self, np.asarray(lift, dtype=complex))
-
     def isometry(self, m) -> "FormIsometry":
         return FormIsometry(self, np.asarray(m, dtype=complex))
 
@@ -106,10 +103,6 @@ class HPoint:
         v.flags.writeable = False
         object.__setattr__(self, "lift", v)
 
-    def normalized(self) -> np.ndarray:
-        v = self.lift
-        return v / math.sqrt(float(np.real(self.space.pair(v, v))))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HPoint) or other.space is not self.space:
             return NotImplemented
@@ -119,31 +112,13 @@ class HPoint:
         raise TypeError("HPoint compares projectively and is unhashable")
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """An ideal point: a nonzero isotropic line."""
-
-    space: HermitianFormSpace
-    lift: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.array(self.lift, dtype=complex)
-        scale = float(np.vdot(v, v).real)
-        if scale == 0.0:
-            raise ValidationError("boundary lift must be nonzero")
-        if abs(self.space.pair(v, v)) > FORM_TOL * scale:
-            raise ValidationError("boundary lift is not isotropic")
-        v.flags.writeable = False
-        object.__setattr__(self, "lift", v)
-
-
-def projectively_equal(v: np.ndarray, w: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when w is a scalar multiple of v up to relative tolerance."""
+def projectively_equal(v: np.ndarray, w: np.ndarray) -> bool:
+    """True when w is a scalar multiple of v up to relative tolerance 1e-9."""
     nv, nw = np.linalg.norm(v), np.linalg.norm(w)
     if nv == 0.0 or nw == 0.0:
         return nv == nw
     lam = np.vdot(v, w) / np.vdot(v, v)
-    return bool(np.linalg.norm(w - lam * v) <= tol * nw)
+    return bool(np.linalg.norm(w - lam * v) <= 1e-9 * nw)
 
 
 @dataclass(frozen=True)
@@ -169,8 +144,6 @@ class FormIsometry:
             return FormIsometry(self.space, self.matrix @ other.matrix)
         if isinstance(other, HPoint):
             return HPoint(self.space, self.matrix @ other.lift)
-        if isinstance(other, BoundaryPoint):
-            return BoundaryPoint(self.space, self.matrix @ other.lift)
         return NotImplemented
 
     def inv(self) -> "FormIsometry":
@@ -204,10 +177,9 @@ def triple_product(pair, x, y, z) -> complex:
 def cartan_argument(x, y, z) -> float:
     """Angular invariant Arg(B(x,y) B(y,z) B(z,x)) of a triple of points.
 
-    Accepts interior or boundary points.  Independent of the choice of
-    lifts, alternating under permutations, and valued in [-pi/2, pi/2];
-    a value outside that range (impossible for genuine configurations)
-    raises ValidationError.
+    Independent of the choice of lifts, alternating under permutations,
+    and valued in [-pi/2, pi/2]; a value outside that range (impossible for
+    genuine configurations) raises ValidationError.
     """
     space = _same_space(x, y, z)
     prod = triple_product(space.pair, x.lift, y.lift, z.lift)
@@ -220,19 +192,6 @@ def cartan_argument(x, y, z) -> float:
     if abs(val) > math.pi / 2 + 1e-9:
         raise ValidationError(f"angular invariant {val} outside [-pi/2, pi/2]")
     return val
-
-
-def busemann_value(xi: BoundaryPoint, y: HPoint) -> float:
-    """ln |B(y, xi)| with y normalized to B(y, y) = 1.
-
-    The value depends on the chosen lift of xi: rescaling xi by
-    lambda > 0 shifts the value by ln lambda.
-    """
-    space = _same_space(xi, y)
-    val = abs(space.pair(y.normalized(), xi.lift))
-    if val < 1e-300:
-        raise ValidationError("interior point pairs to zero with an isotropic lift")
-    return math.log(val)
 
 
 @dataclass(frozen=True)

@@ -29,41 +29,14 @@ from . import su11
 from .blockrep import RepModel, model_cartan, op_unipotent
 from .errors import ValidationError
 from .hypgeo import HermitianFormSpace, triple_product
-from .kernelspace import KernelContext
 
 _ISOTROPIC_LINE = HermitianFormSpace("complex", [[0, 1], [1, 0]])  # basis xi1, xi2
 
 
-@dataclass(frozen=True)
-class InvariantPair:
-    """Displacement t in (0, 2] and angular invariant r in [0, pi/2]."""
-
-    t: float
-    r: float
-
-    def __post_init__(self):
-        if not 0.0 < self.t <= 2.0:
-            raise ValidationError(f"t = {self.t} outside (0, 2]")
-        if not 0.0 <= self.r <= math.pi / 2 + 1e-12:
-            raise ValidationError(f"r = {self.r} outside [0, pi/2]")
-        if abs(self.t - 2.0) < 1e-12 and self.r > 1e-12:
-            raise ValidationError("t = 2 forces r = 0")
-
-
-def _ctx_of(model) -> KernelContext:
-    return model.ctx if isinstance(model, RepModel) else model
-
-
 def model_arg(model) -> float:
-    """Angular invariant: standard argument of -conj(K1), in [0, pi/2]."""
-    k1 = _ctx_of(model).k1
+    """Angular invariant of a model or a context: the argument of -conj(K1), in [0, pi/2]."""
+    k1 = (model.ctx if isinstance(model, RepModel) else model).k1
     return math.atan2(k1.imag, -k1.real)
-
-
-def equivalent_models(m1, m2, tol: float = 1e-12) -> bool:
-    """Same displacement and same angular invariant decide equivalence."""
-    c1, c2 = _ctx_of(m1), _ctx_of(m2)
-    return abs(c1.t - c2.t) <= tol and abs(model_arg(c1) - model_arg(c2)) <= tol
 
 
 def validate_params(t: float, r: float) -> str:
@@ -141,7 +114,8 @@ def cartan_limit_estimate(model: RepModel, b_schedule: Sequence) -> CartanLimit:
     """Cartan values along the schedule plus a Richardson-extrapolated limit.
 
     The limit equals -model_arg(model).  Extrapolation assumes error
-    C * b^(-t/2) between consecutive geometric points.
+    C * b^(-t/2) between consecutive geometric points; a t so small that
+    the step's factor ratio^(t/2) rounds to 1 leaves the step undefined.
     """
     bs = [Fraction(b) if not isinstance(b, Fraction) else b for b in b_schedule]
     vals = [model_cartan_at(model, b) for b in bs]
@@ -150,6 +124,8 @@ def cartan_limit_estimate(model: RepModel, b_schedule: Sequence) -> CartanLimit:
     for i in range(1, len(vals)):
         q = float(bs[i] / bs[i - 1])
         factor = q**p
+        if factor == 1.0:
+            raise ValidationError(f"t = {model.t!r} is too small for the Richardson step")
         running.append(vals[i] + (vals[i] - vals[i - 1]) / (factor - 1.0))
     return CartanLimit(
         points=tuple((float(b), v) for b, v in zip(bs, vals)),

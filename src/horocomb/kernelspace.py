@@ -348,37 +348,19 @@ def _inner_table(vectors: Sequence, base, inner: Callable[[object, object], comp
     return z
 
 
-def hyperbolic_orbit_gram(
-    vectors: Sequence,
-    base,
-    inner: Callable[[object, object], complex],
-) -> np.ndarray:
-    """Phase-corrected Gram M[g,k] = exp(-i alpha(g,k,e)) beta(g^-1 k).
-
-    ``vectors`` are unit lifts of orbit points, ``base`` the unit lift of
-    the basepoint, ``inner`` the ambient form.  With z = inner pairings,
-    beta(g^-1 k) = |z[g,k]| and alpha(g,k,e) = Arg(z[g,k] z[k,0] z[0,g]),
-    so M is unitarily congruent to the honest Gram of the orbit and has
-    exactly one positive eigenvalue for a genuine isometric orbit.
-    """
-    z = _inner_table(vectors, base, inner)
-    return phase_corrected_gram(z[:, :-1], z[:, -1])
-
-
 def positive_type_check(
     vectors: Sequence,
     base,
     inner: Callable[[object, object], complex],
     power: float = 1.0,
     unit_beta: bool = False,
-    tol: float = 1e-8,
 ) -> dict:
     """PSD report for the kernel beta(g)beta(k) - e^{-i alpha} beta(g^-1 k).
 
     ``power`` replaces (beta, alpha) by (beta^power, power*alpha) -- the
     fractional-power kernels stay of positive type for 0 < power < 1.
     ``unit_beta`` replaces beta by 1 (negative control: fails for any
-    configuration with a nonzero angle).
+    configuration with a nonzero angle).  PSD: every eigenvalue >= -1e-8 max(1, max |eig|).
     """
     z = _inner_table(vectors, base, inner)
     z, base_pair = z[:, :-1], z[:, -1]
@@ -394,7 +376,7 @@ def positive_type_check(
     return {
         "min_eigenvalue": min_eig,
         "max_abs_eigenvalue": top,
-        "psd": bool(min_eig >= -tol * max(top, 1.0)),
+        "psd": bool(min_eig >= -1e-8 * max(top, 1.0)),
         "eigenvalues": [float(e) for e in eigs],
     }
 

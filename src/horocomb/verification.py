@@ -282,11 +282,10 @@ def homomorphism_checks(
     model: RepModel,
     rng: np.random.Generator,
     n_pairs: int = 25,
-    tolerance: float = 1e-10,
 ) -> list[dict]:
     """Projective group law: evaluation of products matches products of
     evaluations up to a unimodular phase (exactly, with phase 1, on the
-    upper-triangular subgroup)."""
+    upper-triangular subgroup), to within 1e-10."""
     def group_law(a: su11.SU11Element, b: su11.SU11Element):
         return evaluate(model, a) @ evaluate(model, b), evaluate(model, a * b)
 
@@ -294,8 +293,8 @@ def homomorphism_checks(
     parabolic = [group_law(draw_p(), draw_p()) for _ in range(n_pairs)]
     full = [group_law(su11.random_su11(rng), su11.random_su11(rng)) for _ in range(n_pairs)]
     return [
-        _identity_check("homomorphism_parabolic_exact", model, parabolic, tolerance, exact=True),
-        _identity_check("homomorphism_projective", model, full, tolerance),
+        _identity_check("homomorphism_parabolic_exact", model, parabolic, 1e-10, exact=True),
+        _identity_check("homomorphism_projective", model, full, 1e-10),
     ]
 
 

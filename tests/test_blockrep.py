@@ -246,7 +246,7 @@ def test_evaluate_sandwich_identity():
     for b in (Fraction(2), Fraction(1, 3), Fraction(-2)):
         inv = b / (b * b)
         word = s_element() * g(1, b) * s_element() * g(1, inv) * s_element()
-        assert su11.factor_parabolic(word) is not None
+        assert isinstance(su11.bruhat_factor(word), su11.ParabolicCoords)
         composite = compose(
             compose(evaluate(m, s_element()), evaluate(m, g(1, b))),
             compose(

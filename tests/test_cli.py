@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from horocomb.cli import main
 
@@ -191,6 +195,15 @@ TR = ["--t", "0.5", "--r", "0.3"]
         ["model", "verify", *TR, "--suite", "limits", "--b-start", "inf"],
         ["model", "verify", *TR, "--suite", "limits", "--b-ratio", "nan"],
         ["model", "verify", *TR, "--suite", "limits", "--b-start", "1e-300"],
+        # element entries beyond float arithmetic, and a Richardson factor that rounds to 1
+        ["classify", "--lam", "1e400"],
+        ["classify", "--lam", "1e-400"],
+        ["classify", "--alpha", "1e400,1.5707963267948966"],
+        ["maps", "--lam", "1e-400", "--sample", "2"],
+        ["maps", "--lam", "1e160", "--sample", "1"],
+        ["maps", "--lam", "1e-300", "--sample", "1"],
+        ["cartan-limit", "--t", "1e-17", "--r", "0"],
+        ["model", "verify", "--t", "1e-300", "--r", "0", "--suite", "limits"],
     ],
 )
 def test_malformed_element_exits_2_with_json_error(capsys, argv):
@@ -198,6 +211,14 @@ def test_malformed_element_exits_2_with_json_error(capsys, argv):
     assert code == 2
     assert out == "" and "Traceback" not in err
     assert "error" in json.loads(err)
+
+
+def test_classify_keeps_large_float_entries(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--lam", "1e160")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["factorization"] == {"kind": "P", "lam": str(10**160), "b": "0"}
+    assert rep["alpha"]["re"] == 5e159 and rep["type"] == "hyperbolic"
 
 
 @pytest.mark.parametrize(
@@ -210,6 +231,9 @@ def test_malformed_element_exits_2_with_json_error(capsys, argv):
         ["gns-check", *TR, "--sample", "2"],
         ["maps", "--lam", "2", "--sample", "0"],
         ["maps", "--lam", "2", "--sample", "x"],
+        ["maps", "--lam", "2", "--seed", "-1"],
+        ["gns-check", *TR, "--seed", "-1"],
+        ["model", "verify", *TR, "--suite", "kernel", "--seed", "-1"],
     ],
 )
 def test_out_of_range_count_exits_2(capsys, argv):
@@ -269,3 +293,81 @@ def test_one_parser_serves_every_call(capsys):
     assert [code for code, _, _ in first] == [2, 0, 2, 0]
     cli.build_parser.cache_clear()
     assert [run_cli(capsys, *argv) for argv in calls] == first
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over generated argv
+
+# extremes drawn for any value: beyond the float range, at its edges, non-finite, malformed
+EXTREMES = [
+    "0", "-1", "1/3", "1e-17", "1e-300", "1e400", "-1e400", "1e-400", "-1e-400", "1e160",
+    "nan", "inf", "-inf", "3/0", "abc", "",
+]
+
+
+def values(*good: str) -> st.SearchStrategy:
+    """A value from ``good`` about two times in three, else one from EXTREMES."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(EXTREMES))
+
+
+PAIRS = st.sampled_from(
+    ["5/4,0", "0,1", "0,3/4", "0,0", "1e400,1.5707963267948966", "1e-400,0", "1,x", "3/0,1", "0"]
+)
+COUNTS = st.sampled_from(["0", "1", "2", "3", "8", "16", "-1", "x"])  # at most 16
+T, R = values("0.5", "0.3", "1", "0.01"), values("0", "0.3", "0.01")
+ELEMENT = {
+    "--lam": values("2", "3/2"), "--b": values("1", "1/2"), "--alpha": PAIRS, "--beta": PAIRS,
+}
+SCHEDULE = {"--b-start": values("1", "1/2"), "--b-ratio": values("10", "7/2"), "--steps": COUNTS}
+COMMANDS = {
+    ("classify",): ELEMENT,
+    ("maps",): {**ELEMENT, "--sample": COUNTS, "--seed": COUNTS},
+    ("model", "build"): {"--t": T, "--r": R},
+    ("model", "verify"): {
+        "--t": T, "--r": R, "--suite": st.sampled_from(["kernel", "limits", "gram"]),
+        "--seed": COUNTS, **SCHEDULE,
+    },
+    ("combine",): {"--t": T, "--r1": R, "--r2": R, "--u": values("0", "0.5", "1")},
+    ("cartan-limit",): {
+        "--t": T, "--r": R, **SCHEDULE, "--format": st.sampled_from(["csv", "json"]),
+    },
+    ("gns-check",): {"--t": T, "--r": R, "--sample": COUNTS, "--seed": COUNTS},
+}
+# always given: the suite, so that `all` (the slow relations suite) never runs, the
+# sample count, so that it stays at most 16, and t and r, so that most draws get past parsing
+ALWAYS = {"--suite", "--sample", "--t", "--r"}
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = list(command)
+    for flag, value in COMMANDS[command].items():
+        if flag in ALWAYS or draw(st.booleans()):
+            argv += [flag, draw(value)]
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cli_argv())
+# element entries beyond float arithmetic, and a Richardson factor that rounds to 1
+@example(["classify", "--lam", "1e400"])
+@example(["classify", "--lam", "1e-400"])
+@example(["classify", "--alpha", "1e400,1.5707963267948966"])
+@example(["maps", "--lam", "1e-400", "--sample", "2"])
+@example(["maps", "--lam", "1e160", "--sample", "1"])
+@example(["maps", "--lam", "1e-300", "--sample", "1"])
+@example(["cartan-limit", "--t", "1e-17", "--r", "0"])
+@example(["model", "verify", "--t", "1e-300", "--r", "0", "--suite", "limits"])
+def test_any_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    elif argv[0] == "cartan-limit" and "json" not in argv:
+        assert out.getvalue().startswith("b,cartan,extrapolated\n")
+    else:
+        json.loads(out.getvalue())

@@ -6,10 +6,8 @@ import pytest
 from horocomb.blockrep import RepModel, busemann_character_model, evaluate, model_cartan
 from horocomb.errors import ValidationError
 from horocomb.invariants import (
-    InvariantPair,
     cartan_limit_estimate,
     cartan_slope,
-    equivalent_models,
     finite_cartan_at,
     geometric_schedule,
     model_arg,
@@ -49,14 +47,6 @@ def test_character_slope_recovers_t():
             assert slope == pytest.approx(t, abs=1e-12)
 
 
-def test_equivalent_models():
-    a = KernelContext(0.5, complex(-math.cos(0.1), math.sin(0.1)))
-    b = KernelContext(0.5, 3.0 * complex(-math.cos(0.1), math.sin(0.1)))
-    assert equivalent_models(a, b)
-    assert not equivalent_models(a, KernelContext(0.5, complex(-math.cos(0.2), math.sin(0.2))))
-    assert not equivalent_models(a, KernelContext(0.6, complex(-math.cos(0.1), math.sin(0.1))))
-
-
 def test_validate_params():
     assert validate_params(0.5, 0.3) == "constructible"
     assert validate_params(0.5, 0.25 * math.pi) == "constructible"
@@ -66,17 +56,6 @@ def test_validate_params():
     assert validate_params(0.5, 1.5) == "unknown"
     assert validate_params(1.5, 0.1) == "unknown"
     assert validate_params(-1.0, 0.0) == "unknown"
-
-
-def test_invariant_pair_validation():
-    InvariantPair(0.5, 0.3)
-    InvariantPair(2.0, 0.0)
-    with pytest.raises(ValidationError):
-        InvariantPair(0.0, 0.1)
-    with pytest.raises(ValidationError):
-        InvariantPair(0.5, 2.0)
-    with pytest.raises(ValidationError):
-        InvariantPair(2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +133,13 @@ def test_cartan_slope():
 
     real = make(0.5, 0.0)
     assert cartan_slope(real, schedule) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-17, 1e-300])
+def test_richardson_step_refuses_a_factor_that_rounds_to_one(t):
+    # 10^(t/2) == 1.0 in floats, so the step would divide by zero
+    with pytest.raises(ValidationError, match=f"t = {t!r} is too small"):
+        cartan_limit_estimate(make(t, 0.0), geometric_schedule(1.0, 10.0, 3))
 
 
 def test_schedule_validation():

@@ -17,7 +17,6 @@ from horocomb.kernelspace import (
     cvec,
     eta1,
     eta2,
-    hyperbolic_orbit_gram,
     pairing,
     pairing_matrix,
     phase_corrected_gram,
@@ -357,6 +356,12 @@ def taut_orbit(elements):
     base = np.array([1.0, 0.0], dtype=complex)
     vecs = [el.matrix() @ base for el in elements]
     return vecs, base, space.pair, space
+
+
+def hyperbolic_orbit_gram(vecs, base, inner):
+    """The phase-corrected Gram of unit lifts ``vecs`` at the unit lift ``base``."""
+    z = np.array([[inner(v, w) for w in [*vecs, base]] for v in vecs])
+    return phase_corrected_gram(z[:, :-1], z[:, -1])
 
 
 def test_orbit_gram_single_element():

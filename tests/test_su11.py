@@ -17,10 +17,9 @@ from horocomb.su11 import (
     classify_su11,
     displacement_su11,
     eval_word,
-    factor_parabolic,
     g,
     phi_to_so12,
-    presentation_check,
+    presentation_pairs,
     psi_to_sl2,
     random_su11,
     rationalize,
@@ -52,6 +51,16 @@ def test_unit_determinant_enforced():
         SU11Element(Fraction(2), Fraction(0), Fraction(0), Fraction(0))
 
 
+@pytest.mark.parametrize(
+    "a_re, b_re, shown",
+    [(2, 0, "4.0"), (10**400, 0, "inf"), (0, 10**400, "-inf"), (2**512, 0, "inf")],
+)
+def test_determinant_message_never_overflows(a_re, b_re, shown):
+    # the message shows |alpha|^2 - |beta|^2 as a float, and +/-inf from 2^1023 on
+    with pytest.raises(ValidationError, match=rf"^\|alpha\|\^2 - \|beta\|\^2 = {shown} != 1$"):
+        SU11Element(a_re, 0, b_re, 0)
+
+
 def test_parabolic_group_law():
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -63,9 +72,9 @@ def test_parabolic_group_law():
 
 
 def test_factor_parabolic_roundtrip():
-    assert factor_parabolic(g(2, 1)) == ParabolicCoords(Fraction(2), Fraction(1))
-    assert factor_parabolic(g(2, 1).neg()) == ParabolicCoords(Fraction(2), Fraction(1))
-    assert factor_parabolic(s_element()) is None
+    assert bruhat_factor(g(2, 1)) == ParabolicCoords(Fraction(2), Fraction(1))
+    assert bruhat_factor(g(2, 1).neg()) == ParabolicCoords(Fraction(2), Fraction(1))
+    assert not isinstance(bruhat_factor(s_element()), ParabolicCoords)
 
 
 def test_lambda_must_be_positive():
@@ -99,6 +108,14 @@ def test_bruhat_reconstruction_random():
 
 def test_bruhat_p_branch():
     assert bruhat_factor(g(2, 1)) == ParabolicCoords(Fraction(2), Fraction(1))
+
+
+def test_bruhat_p_branch_is_exact_beyond_the_float_range():
+    lam = Fraction(10**400, 3)
+    for m in (g(lam, 7), g(1 / lam, -7), g(lam, 7).neg()):
+        f = bruhat_factor(m)
+        assert isinstance(f, ParabolicCoords) and reconstruct(f) in (m, m.neg())
+    assert bruhat_factor(g(lam, 7)) == ParabolicCoords(lam, Fraction(7))
 
 
 def test_decomposition_coverage():
@@ -249,24 +266,29 @@ def test_s_word_lands_on_diagonal():
         assert matrix_deviation(ev(s_word(a)), g(a, 0)) == 0.0
 
 
+def worst_deviations(deviation, **images) -> dict:
+    """The worst deviation over the image pairs of each presentation relation."""
+    return {k: max(deviation(a, b) for a, b in v) for k, v in presentation_pairs(**images).items()}
+
+
 def test_presentation_check_canonical():
-    report = presentation_check(
+    report = worst_deviations(
+        matrix_deviation,
         u_image=lambda r: g(1, r),
         w_image=s_element(),
         mul=lambda a, b: a * b,
         identity=SU11Element.identity(),
-        deviation=matrix_deviation,
     )
     assert max(report.values()) < 1e-10
 
 
 def test_presentation_check_under_phi():
-    report = presentation_check(
+    report = worst_deviations(
+        lambda a, b: float(np.max(np.abs(a - b))),
         u_image=lambda r: phi_to_so12(g(1, r)),
         w_image=phi_to_so12(s_element()),
         mul=lambda a, b: a @ b,
         identity=np.eye(3),
-        deviation=lambda a, b: float(np.max(np.abs(a - b))),
     )
     assert max(report.values()) < 1e-9
 
@@ -278,33 +300,14 @@ def test_presentation_check_negative_control():
             return g(1, Fraction(101, 100))
         return g(1, r)
 
-    report = presentation_check(
+    report = worst_deviations(
+        matrix_deviation,
         u_image=u_image,
         w_image=s_element(),
         mul=lambda a, b: a * b,
         identity=SU11Element.identity(),
-        deviation=matrix_deviation,
     )
     assert report["u_additive"] > 1e-3
-
-
-def test_presentation_check_keeps_a_nan_deviation():
-    # a NaN after the first sample must not be dropped by the reduction
-    calls = []
-
-    def deviation(a, b):
-        calls.append(None)
-        return math.nan if len(calls) == 2 else matrix_deviation(a, b)
-
-    report = presentation_check(
-        u_image=lambda r: g(1, r),
-        w_image=s_element(),
-        mul=lambda a, b: a * b,
-        identity=SU11Element.identity(),
-        deviation=deviation,
-    )
-    assert math.isnan(report["u_additive"])
-    assert max(v for k, v in report.items() if k != "u_additive") < 1e-10
 
 
 def test_letter_validation():
