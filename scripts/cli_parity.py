@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over the exit code, stdout and stderr of a fixed list
+of CLI runs, so that two trees can be compared byte for byte.
+
+The probes: `model verify --suite all --seed 7` at four strata,
+`gns-check`, `cartan-limit` as CSV and as JSON (one of them the exit-1 run
+with `--steps 208`), `maps`, `combine`, and `model verify --suite kernel` at
+seeds 0-5.  Each runs in this process through `horocomb.cli.main`, with
+HOROCOMB_TOLERANCE_SCALE removed from the environment.
+
+Usage: PYTHONPATH=src python scripts/cli_parity.py
+"""
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+
+from horocomb.cli import main
+
+STRATA = [("0.5", "0.3"), ("0.3", "0"), ("0.7", repr(0.35 * math.pi)), ("1", "0.9")]
+MODEL = ["--t", "0.5", "--r", "0.3"]
+
+PROBES = [
+    *(["model", "verify", "--t", t, "--r", r, "--suite", "all", "--seed", "7"] for t, r in STRATA),
+    ["gns-check", *MODEL],
+    ["cartan-limit", *MODEL],
+    ["cartan-limit", *MODEL, "--format", "json"],
+    ["cartan-limit", *MODEL, "--format", "json", "--steps", "208"],
+    ["maps", "--lam", "3/2", "--b", "1/3"],
+    ["maps", "--alpha", "1,1/2", "--beta", "1/2,0", "--sample", "5"],
+    ["combine", "--t", "0.5", "--r1", "0.2", "--r2", "0.4", "--u", "0.3"],
+    *(["model", "verify", *MODEL, "--suite", "kernel", "--seed", str(s)] for s in range(6)),
+]
+
+
+def run(argv: list[str]) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return "\0".join([" ".join(argv), str(code), out.getvalue(), err.getvalue()]).encode() + b"\0"
+
+
+def main_() -> int:
+    os.environ.pop("HOROCOMB_TOLERANCE_SCALE", None)
+    digest = hashlib.sha256()
+    for argv in PROBES:
+        digest.update(run(argv))
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main_())

@@ -12,11 +12,14 @@ isometries of the `kernelspace` form:
     sigma:      eta1 <-> eta2,  C(b) -> k*(b) C(-1/b)
 
 where k*(b) = ctx.block_k(b) = -conj(K(b)) and <.,.> is the kernelspace
-pairing.  Arbitrary group elements evaluate through the P | PsP
-factorization; products of evaluated operators agree with evaluation of
-products up to a unimodular phase (the action is projective on the linear
-level), and `compare_up_to_phase` decides such equalities by comparing the
-coefficients of the images of an auto-generated probe set.
+pairing.  The atoms build new C-parameters (lam^2 b, b + d, -1/b) from
+integer pairs as `kernelspace._Param`s, which carry their floats, and chain
+on plain coefficient dicts; `apply` wraps one FormalVector at the end.
+Arbitrary group elements evaluate through the P | PsP factorization;
+products of evaluated operators agree with evaluation of products up to a
+unimodular phase (the action is projective on the linear level), and
+`compare_up_to_phase` decides such equalities by comparing the coefficients
+of the images of an auto-generated probe set.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from .kernelspace import (
     ETA2,
     FormalVector,
     KernelContext,
-    csym,
+    _Param,
     cvec,
     eta1,
     eta2,
@@ -82,7 +85,7 @@ class RepModel:
         return self.ctx.t
 
 
-Atom = tuple  # ("diag", Fraction) | ("unip", Fraction) | ("sigma",)
+Atom = tuple  # ("diag", Fraction) | ("unip", _Param) | ("sigma",)
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,8 @@ def op_diag(model: RepModel, lam) -> RepOperator:
 
 
 def op_unipotent(model: RepModel, b) -> RepOperator:
-    return RepOperator(model, (("unip", _frac(b)),))
+    b = _frac(b)
+    return RepOperator(model, (("unip", _Param(b.numerator, b.denominator)),))
 
 
 def op_sigma(model: RepModel) -> RepOperator:
@@ -121,32 +125,33 @@ def compose(a: RepOperator, b: RepOperator) -> RepOperator:
     return RepOperator(a.model, a.atoms + b.atoms)
 
 
-def _apply_diag(ctx: KernelContext, lam: Fraction, v: FormalVector) -> FormalVector:
+def _apply_diag(ctx: KernelContext, lam: Fraction, coeffs: Mapping) -> dict:
     lam_t = float(lam) ** ctx.t
+    ln2, ld2 = lam.numerator**2, lam.denominator**2
     out: dict = {}
-    for s, c in v.coeffs.items():
+    for s, c in coeffs.items():
         if s == ETA1:
             out[ETA1] = out.get(ETA1, 0.0) + c * lam_t
         elif s == ETA2:
             out[ETA2] = out.get(ETA2, 0.0) + c / lam_t
         else:
-            sym = csym(lam * lam * s[1])
+            sym = ("c", _Param(ln2 * s[1]._numerator, ld2 * s[1]._denominator))
             out[sym] = out.get(sym, 0.0) + c / lam_t
-    return FormalVector(ctx, out)
+    return out
 
 
-def _add_c(out: dict, b: Fraction, coeff: complex) -> None:
-    if b != 0 and coeff != 0:
-        sym = csym(b)
+def _add_c(out: dict, b: _Param, coeff: complex) -> None:
+    if coeff != 0 and b._numerator:  # C(0) is the zero vector
+        sym = ("c", b)
         out[sym] = out.get(sym, 0.0) + coeff
 
 
-def _apply_unip(ctx: KernelContext, b: Fraction, v: FormalVector) -> FormalVector:
-    if b == 0:
-        return v
-    kb = ctx.block_k(b)
+def _apply_unip(ctx: KernelContext, b: _Param, coeffs: Mapping) -> Mapping:
+    if not b._numerator:
+        return coeffs
+    kb, bn, bd = ctx.block_k(b.x), b._numerator, b._denominator
     out: dict = {}
-    for s, c in v.coeffs.items():
+    for s, c in coeffs.items():
         if s == ETA1:
             out[ETA1] = out.get(ETA1, 0.0) + c
         elif s == ETA2:
@@ -155,37 +160,39 @@ def _apply_unip(ctx: KernelContext, b: Fraction, v: FormalVector) -> FormalVecto
             _add_c(out, b, c)
         else:
             d = s[1]
-            out[ETA1] = out.get(ETA1, 0.0) + c * ctx.c_pair(d, -b)
-            _add_c(out, b + d, c)
+            out[ETA1] = out.get(ETA1, 0.0) + c * ctx.c_pair(d.x, -b.x)
+            _add_c(out, _Param(bn * d._denominator + d._numerator * bd, bd * d._denominator), c)
             _add_c(out, b, -c)
-    return FormalVector(ctx, out)
+    return out
 
 
-def _apply_sigma(ctx: KernelContext, v: FormalVector) -> FormalVector:
+def _apply_sigma(ctx: KernelContext, coeffs: Mapping) -> dict:
     out: dict = {}
-    for s, c in v.coeffs.items():
+    for s, c in coeffs.items():
         if s == ETA1:
             out[ETA2] = out.get(ETA2, 0.0) + c
         elif s == ETA2:
             out[ETA1] = out.get(ETA1, 0.0) + c
         else:
             b = s[1]
-            _add_c(out, -1 / b, c * ctx.block_k(b))
-    return FormalVector(ctx, out)
+            _add_c(out, _Param(-b._denominator, b._numerator), c * ctx.block_k(b.x))
+    return out
 
 
 def apply(op: RepOperator, v: FormalVector) -> FormalVector:
     if v.ctx is not op.model.ctx:
         raise UsageError("vector does not belong to the operator's model")
+    ctx, coeffs = v.ctx, v.coeffs
     for atom in reversed(op.atoms):
         kind = atom[0]
         if kind == "diag":
-            v = _apply_diag(op.model.ctx, atom[1], v)
+            coeffs = _apply_diag(ctx, atom[1], coeffs)
         elif kind == "unip":
-            v = _apply_unip(op.model.ctx, atom[1], v)
+            coeffs = _apply_unip(ctx, atom[1], coeffs)
         else:
-            v = _apply_sigma(op.model.ctx, v)
-    return v
+            coeffs = _apply_sigma(ctx, coeffs)
+        coeffs = {s: c for s, c in coeffs.items() if c != 0}
+    return FormalVector(ctx, coeffs)
 
 
 def basepoint(model: RepModel) -> FormalVector:
@@ -201,12 +208,11 @@ def evaluate(model: RepModel, m: SU11Element) -> RepOperator:
     maps to diag(lam) unip(b/lam) sigma unip(d).  Well-defined on +/- m.
     """
     f = bruhat_factor(m)
+    lam, b = f.lam, f.b
+    atoms = (("diag", lam), ("unip", _Param(b.numerator * lam.denominator, b.denominator * lam.numerator)))
     if isinstance(f, ParabolicCoords):
-        return RepOperator(model, (("diag", f.lam), ("unip", f.b / f.lam)))
-    return RepOperator(
-        model,
-        (("diag", f.lam), ("unip", f.b / f.lam), ("sigma",), ("unip", f.d)),
-    )
+        return RepOperator(model, atoms)
+    return RepOperator(model, atoms + (("sigma",), ("unip", _Param(f.d.numerator, f.d.denominator))))
 
 
 def busemann_character_model(model: RepModel, m: SU11Element) -> float:

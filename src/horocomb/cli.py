@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -271,9 +272,17 @@ def _int_at_least(low: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes '-' and then a digit or '.digit' (-3/2, -1e-3) as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="horocomb", description=__doc__)
+    ap = _Parser(prog="horocomb", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_element_args(p):

@@ -94,11 +94,14 @@ def finite_cartan_at(b: float) -> float:
     Computed from raw lifts in the isotropic basis, where the unipotent
     is [[1, ib], [0, 1]] and [xi1 + xi2] lifts to (1, 1); the lifts skip
     point validation, so this stays stable for b far beyond its reach.
+    The b-lifts are scaled by 2^-e, e >= 0, which takes |b| below 1 exactly,
+    so the product stays finite and the angle is bitwise unchanged.
     """
     b = float(b)
+    scale = math.ldexp(1.0, -max(0, math.frexp(b)[1]))
     w = np.array([1.0, 1.0], dtype=complex)
-    wp = np.array([1.0 + 1.0j * b, 1.0])
-    wm = np.array([1.0 - 1.0j * b, 1.0])
+    wp = np.array([1.0 + 1.0j * b, 1.0]) * scale
+    wm = np.array([1.0 - 1.0j * b, 1.0]) * scale
     prod = triple_product(_ISOTROPIC_LINE.pair, wp, wm, w)
     return math.atan2(prod.imag, prod.real)
 

@@ -8,6 +8,7 @@ import pytest
 from horocomb import su11
 from horocomb.blockrep import (
     RepModel,
+    RepOperator,
     apply,
     basepoint,
     compare_up_to_phase,
@@ -502,3 +503,114 @@ def test_orbit_gram_matches_loop_reference(stratum, n):
     np.testing.assert_array_equal(got, got.conj().T)
     np.testing.assert_array_equal(np.diag(got), np.ones(n))
 
+
+
+# ---------------------------------------------------------------------------
+# the atoms against a restatement in Fraction arithmetic
+
+
+def fraction_apply(op, v):
+    """`apply` as the atoms read in Fraction arithmetic: parameters from
+    Fraction operators, floats from float(Fraction), one FormalVector per atom."""
+    ctx = op.model.ctx
+    for kind, *param in reversed(op.atoms):
+        out = {}
+
+        def add(s, c):
+            out[s] = out.get(s, 0.0) + c
+
+        def add_c(b, c):
+            if b != 0 and c != 0:
+                add(("c", Fraction(b)), c)
+
+        if kind == "diag":
+            lam = Fraction(param[0])
+            lam_t = float(lam) ** ctx.t
+            for s, c in v.coeffs.items():
+                if s[0] == "c":
+                    add(("c", lam * lam * s[1]), c / lam_t)
+                else:
+                    add(s, c * lam_t if s == ETA1 else c / lam_t)
+        elif kind == "unip":
+            b = Fraction(param[0])
+            if b == 0:
+                continue
+            for s, c in v.coeffs.items():
+                if s == ETA1:
+                    add(ETA1, c)
+                elif s == ETA2:
+                    add(ETA1, c * ctx.block_k(float(b)))
+                    add(ETA2, c)
+                    add_c(b, c)
+                else:
+                    add(ETA1, c * ctx.c_pair(float(s[1]), float(-b)))
+                    add_c(b + s[1], c)
+                    add_c(b, -c)
+        else:
+            for s, c in v.coeffs.items():
+                if s[0] == "c":
+                    add_c(-1 / s[1], c * ctx.block_k(float(s[1])))
+                else:
+                    add(ETA2 if s == ETA1 else ETA1, c)
+        v = FormalVector(ctx, out)
+    return v
+
+
+def bits(v):
+    """Symbols in order, with each coefficient's exact bits."""
+    return [(s, c.real.hex(), c.imag.hex()) for s, c in v.coeffs.items()]
+
+
+def fraction_evaluate(model, m):
+    """`evaluate` with its unipotent parameters as Fraction quotients."""
+    f = su11.bruhat_factor(m)
+    atoms = (("diag", f.lam), ("unip", f.b / f.lam))
+    if not isinstance(f, su11.ParabolicCoords):
+        atoms += (("sigma",), ("unip", f.d))
+    return RepOperator(model, atoms)
+
+
+def assert_atoms_match_fractions(op, vectors, reference=None):
+    for v in vectors:
+        got = apply(op, v)
+        assert bits(got) == bits(fraction_apply(reference or op, v))
+        for s in got.coeffs:
+            if s[0] == "c":
+                assert s[1].x == float(Fraction(s[1]))
+
+
+@pytest.mark.parametrize("stratum", sorted(STRATA))
+def test_atoms_match_fraction_arithmetic_on_evaluated_elements(stratum):
+    from horocomb.combination import make_representation
+
+    model = make_representation(*STRATA[stratum])
+    rng = np.random.default_rng(17)
+    els = [su11.random_su11(rng) for _ in range(12)]
+    ops = [evaluate(model, m) for m in els]
+    refs = [fraction_evaluate(model, m) for m in els]
+    assert [op.atoms for op in ops] == [ref.atoms for ref in refs]
+    ops += [a @ b for a, b in zip(ops, ops[1:])] + [a @ op_sigma(model) @ a for a in ops[:3]]
+    refs += [a @ b for a, b in zip(refs, refs[1:])] + [a @ op_sigma(model) @ a for a in refs[:3]]
+    for op, ref in zip(ops, refs):
+        assert_atoms_match_fractions(op, [basepoint(model), *probe_vectors(model, op)], ref)
+
+
+@pytest.mark.parametrize("m", MODELS, ids=range(len(MODELS)))
+def test_atoms_match_fraction_arithmetic_when_parameters_cancel(m):
+    b = Fraction(-5, 3)
+    undo = op_unipotent(m, -b) @ op_unipotent(m, b)
+    # C(b + d) with b + d = 0 is never a symbol, and unip(-b) unip(b) cancels C(b)
+    assert all(s[1] != 0 for s in apply(op_unipotent(m, b), cvec(m.ctx, -b)).coeffs if s[0] == "c")
+    assert not [s for s in apply(undo, eta2(m.ctx)).coeffs if s[0] == "c"]
+    ops = [op_unipotent(m, b), undo, op_diag(m, Fraction(3, 2)) @ op_sigma(m) @ op_unipotent(m, 0)]
+    for op in ops:
+        assert_atoms_match_fractions(op, [eta1(m.ctx), eta2(m.ctx), cvec(m.ctx, -b), cvec(m.ctx, b)])
+
+
+def test_atoms_refuse_a_degenerate_context_as_fraction_arithmetic_does():
+    m = RepModel(KernelContext(1.0, 1j))
+    for op in [op_unipotent(m, 2), op_diag(m, 3) @ op_unipotent(m, Fraction(1, 2))]:
+        for atoms in (apply, fraction_apply):
+            with pytest.raises(UsageError, match="degenerate"):
+                atoms(op, eta2(m.ctx))
+    assert_atoms_match_fractions(op_sigma(m) @ op_diag(m, 2), [eta1(m.ctx), eta2(m.ctx), basepoint(m)])

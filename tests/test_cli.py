@@ -295,13 +295,29 @@ def test_one_parser_serves_every_call(capsys):
     assert [run_cli(capsys, *argv) for argv in calls] == first
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["classify", "--lam", "2"], "--b", "-1e-3"),
+        (["classify", "--lam", "2"], "--b", "-3/2"),
+        (["classify", "--lam", "2"], "--b", "-.5"),
+        (["model", "build", "--t", "0.5"], "--r", "-1e-20"),
+    ],
+)
+def test_negative_values_need_no_equals_sign(capsys, argv, flag, value):
+    # argparse alone reads -1e-3 and -3/2 as options ("expected one argument")
+    spaced = run_cli(capsys, *argv, flag, value)
+    assert spaced == run_cli(capsys, *argv, f"{flag}={value}")
+    assert spaced[0] == 0 and spaced[2] == ""
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract over generated argv
 
 # extremes drawn for any value: beyond the float range, at its edges, non-finite, malformed
 EXTREMES = [
     "0", "-1", "1/3", "1e-17", "1e-300", "1e400", "-1e400", "1e-400", "-1e-400", "1e160",
-    "nan", "inf", "-inf", "3/0", "abc", "",
+    "nan", "inf", "-inf", "3/0", "abc", "", "-1e-3", "-2.5e1", "-3/2", "-.5",
 ]
 
 

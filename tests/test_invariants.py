@@ -96,6 +96,14 @@ def test_finite_cartan_cross_validated():
         assert finite_cartan_at(b) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("b", [1e155, 1e300])
+def test_finite_cartan_at_does_not_overflow(b):
+    # the unscaled triple product overflowed from b ~ 1.3e154 on: it read
+    # -pi/4 there (atan2(-inf, inf)) and NaN at 1.7e308
+    assert finite_cartan_at(b) == pytest.approx(-math.pi / 2, abs=1e-15)
+    assert finite_cartan_at(-b) == -finite_cartan_at(b)
+
+
 def test_finite_dimensional_limit():
     # deviation from -pi/2 decays like 3/b
     val = finite_cartan_at(1000.0)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,24 @@ def test_csym_is_a_plain_fraction_key(b):
     x = key[1]
     for value, want in [(x + x, 2 * Fraction(b)), (-x, -Fraction(b)), (1 / x, 1 / Fraction(b)), (x * x, Fraction(b) ** 2)]:
         assert type(value) is Fraction and value == want
+
+
+@settings(deadline=None)
+@given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40).filter(bool))
+@example(0, -7)
+@example(6, -4)
+@example(-3, 2**61 - 1)  # the denominator the hash modulus divides: Fraction's hash is +/-inf's
+@example(2**200 + 1, 2**150)
+def test_param_from_integers_is_the_fraction(n, d):
+    # _Param(n, d) sets the stdlib's private _numerator and _denominator itself
+    p, f = kernelspace._Param(n, d), Fraction(n, d)
+    assert (p.numerator, p.denominator) == (f.numerator, f.denominator)
+    assert p == f and hash(p) == hash(f) and hash(("c", p)) == hash(("c", f))
+    assert p.x == float(f) and type(p.x) is float
+    for value, want in [(p + p, 2 * f), (p - f, 0), (-p, -f), (abs(p), abs(f)), (p**2, f * f)]:
+        assert type(value) is Fraction and value == want
+    back = pickle.loads(pickle.dumps(p))
+    assert type(back) is kernelspace._Param and back == f and back.x == p.x
 
 
 @pytest.mark.parametrize("b, d", [(1.0, 1.0 + 1e-15), (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**15))])

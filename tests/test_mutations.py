@@ -21,7 +21,7 @@ from horocomb import blockrep, kernelspace
 from horocomb.cli import main
 from horocomb.combination import make_representation
 from horocomb.invariants import geometric_schedule
-from horocomb.kernelspace import ETA1, FormalVector, KernelContext
+from horocomb.kernelspace import ETA1, KernelContext
 from horocomb.verification import (
     check,
     homomorphism_checks,
@@ -72,19 +72,19 @@ def c_pair_with_flipped_imaginary_part(original):
 
 
 def diag_with_scaled_eta1(original):
-    def apply_diag(ctx, lam, v):
-        coeffs = dict(original(ctx, lam, v).coeffs)
+    def apply_diag(ctx, lam, coeffs):
+        coeffs = original(ctx, lam, coeffs)
         if ETA1 in coeffs:
             coeffs[ETA1] *= 1 + 1e-6
-        return FormalVector(ctx, coeffs)
+        return coeffs
 
     return apply_diag
 
 
 def diag_with_shifted_t(original):
-    def apply_diag(ctx, lam, v):
+    def apply_diag(ctx, lam, coeffs):
         shifted = dataclasses.replace(ctx, t=ctx.t + 0.01)
-        return FormalVector(ctx, original(shifted, lam, v).coeffs)
+        return original(shifted, lam, coeffs)
 
     return apply_diag
 
@@ -120,13 +120,13 @@ def unip_with_nan_behind_a_rounding_residual(original):
     # the first C-coefficient off by a rounding-size 1e-12 (well inside the
     # tolerance), the second NaN: a reduction that keeps its first sample
     # drops the NaN
-    def apply_unip(ctx, b, v):
-        coeffs = dict(original(ctx, b, v).coeffs)
+    def apply_unip(ctx, b, coeffs):
+        coeffs = dict(original(ctx, b, coeffs))
         cs = [s for s in coeffs if s[0] == "c"]
         if len(cs) > 1:
             coeffs[cs[0]] *= 1 + 1e-12
             coeffs[cs[1]] = math.nan
-        return FormalVector(ctx, coeffs)
+        return coeffs
 
     return apply_unip
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +46,20 @@ def test_run_grid_passes_one_cell():
     proc = run_script("run_grid.py", "--nt", "1", "--nr", "1")
     assert proc.returncode == 0, proc.stderr
     assert "0 failing cells" in proc.stdout
+
+
+def test_cli_parity_prints_one_digest_that_two_runs_share():
+    # two processes at once, each with its own hash seed
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [
+        subprocess.Popen([sys.executable, str(ROOT / "scripts" / "cli_parity.py")], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outs = [proc.communicate(timeout=120) for proc in runs]
+    assert [proc.returncode for proc in runs] == [0, 0], [err for _, err in outs]
+    (first, _), (second, _) = outs
+    assert first == second and re.fullmatch(r"[0-9a-f]{64}\n", first)
 
 
 def bench_pairs_args(parent: Path, change: Path, out: Path, pairs: str) -> list[str]:
