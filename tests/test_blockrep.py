@@ -504,14 +504,13 @@ def test_orbit_gram_matches_loop_reference(stratum, n):
     np.testing.assert_array_equal(np.diag(got), np.ones(n))
 
 
-
 # ---------------------------------------------------------------------------
 # the atoms against a restatement in Fraction arithmetic
 
 
 def fraction_apply(op, v):
-    """`apply` as the atoms read in Fraction arithmetic: parameters from
-    Fraction operators, floats from float(Fraction), one FormalVector per atom."""
+    """`apply` restated in Fraction arithmetic: new parameters from Fraction
+    operators, floats from float(Fraction), one FormalVector per atom."""
     ctx = op.model.ctx
     for kind, *param in reversed(op.atoms):
         out = {}
@@ -610,7 +609,7 @@ def test_atoms_match_fraction_arithmetic_when_parameters_cancel(m):
 def test_atoms_refuse_a_degenerate_context_as_fraction_arithmetic_does():
     m = RepModel(KernelContext(1.0, 1j))
     for op in [op_unipotent(m, 2), op_diag(m, 3) @ op_unipotent(m, Fraction(1, 2))]:
-        for atoms in (apply, fraction_apply):
+        for run in (apply, fraction_apply):
             with pytest.raises(UsageError, match="degenerate"):
-                atoms(op, eta2(m.ctx))
+                run(op, eta2(m.ctx))
     assert_atoms_match_fractions(op_sigma(m) @ op_diag(m, 2), [eta1(m.ctx), eta2(m.ctx), basepoint(m)])

@@ -336,7 +336,7 @@ def test_csym_is_a_plain_fraction_key(b):
 @given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40).filter(bool))
 @example(0, -7)
 @example(6, -4)
-@example(-3, 2**61 - 1)  # the denominator the hash modulus divides: Fraction's hash is +/-inf's
+@example(-3, 2**61 - 1)  # a denominator divisible by the hash modulus: Fraction hashes it as -inf
 @example(2**200 + 1, 2**150)
 def test_param_from_integers_is_the_fraction(n, d):
     # _Param(n, d) sets the stdlib's private _numerator and _denominator itself

@@ -49,7 +49,7 @@ def test_run_grid_passes_one_cell():
 
 
 def test_cli_parity_prints_one_digest_that_two_runs_share():
-    # two processes at once, each with its own hash seed
+    # two processes at once: the digest must not depend on the process (its hash seed)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     runs = [
         subprocess.Popen([sys.executable, str(ROOT / "scripts" / "cli_parity.py")], env=env,
