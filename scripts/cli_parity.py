@@ -4,9 +4,12 @@ of CLI runs, so that two trees can be compared byte for byte.
 
 The probes: `model verify --suite all --seed 7` at four strata,
 `gns-check`, `cartan-limit` as CSV and as JSON (one of them the exit-1 run
-with `--steps 208`), `maps`, `combine`, and `model verify --suite kernel` at
-seeds 0-5.  Each runs in this process through `horocomb.cli.main`, with
-HOROCOMB_TOLERANCE_SCALE removed from the environment.
+with `--steps 208`), `maps`, `combine`, `model verify --suite kernel` at
+seeds 0-5, and `model verify --suite relations` at seeds 0-2, whose group-law
+pairs are drawn from the seed.  Each runs in this process through
+`horocomb.cli.main`, with HOROCOMB_TOLERANCE_SCALE removed from the
+environment.  The relations probes were added after the kernel ones, so the
+digest differs from one taken with the shorter list.
 
 Usage: PYTHONPATH=src python scripts/cli_parity.py
 """
@@ -32,6 +35,7 @@ PROBES = [
     ["maps", "--alpha", "1,1/2", "--beta", "1/2,0", "--sample", "5"],
     ["combine", "--t", "0.5", "--r1", "0.2", "--r2", "0.4", "--u", "0.3"],
     *(["model", "verify", *MODEL, "--suite", "kernel", "--seed", str(s)] for s in range(6)),
+    *(["model", "verify", *MODEL, "--suite", "relations", "--seed", str(s)] for s in range(3)),
 ]
 
 

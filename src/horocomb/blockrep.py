@@ -15,6 +15,8 @@ where k*(b) = ctx.block_k(b) = -conj(K(b)) and <.,.> is the kernelspace
 pairing.  The atoms build new C-parameters (lam^2 b, b + d, -1/b) from
 integer pairs as `kernelspace._Param`s, which carry their floats, and chain
 on plain coefficient dicts; `apply` wraps one FormalVector at the end.
+An operator's atom tuple is a word, read left to right as a product, so
+`verification` states each word identity it checks as two atom tuples.
 Arbitrary group elements evaluate through the P | PsP factorization;
 products of evaluated operators agree with evaluation of products up to a
 unimodular phase (the action is projective on the linear level), and
@@ -99,10 +101,6 @@ class RepOperator:
         return compose(self, other)
 
 
-def identity_op(model: RepModel) -> RepOperator:
-    return RepOperator(model, ())
-
-
 def op_diag(model: RepModel, lam) -> RepOperator:
     lam = _frac(lam)
     if lam <= 0:
@@ -110,9 +108,14 @@ def op_diag(model: RepModel, lam) -> RepOperator:
     return RepOperator(model, (("diag", lam),))
 
 
-def op_unipotent(model: RepModel, b) -> RepOperator:
+def unip_atom(b) -> Atom:
+    """The atom unip(b) of a rational b."""
     b = _frac(b)
-    return RepOperator(model, (("unip", _Param(b.numerator, b.denominator)),))
+    return ("unip", _Param(b.numerator, b.denominator))
+
+
+def op_unipotent(model: RepModel, b) -> RepOperator:
+    return RepOperator(model, (unip_atom(b),))
 
 
 def op_sigma(model: RepModel) -> RepOperator:
@@ -212,7 +215,7 @@ def evaluate(model: RepModel, m: SU11Element) -> RepOperator:
     atoms = (("diag", lam), ("unip", _Param(b.numerator * lam.denominator, b.denominator * lam.numerator)))
     if isinstance(f, ParabolicCoords):
         return RepOperator(model, atoms)
-    return RepOperator(model, atoms + (("sigma",), ("unip", _Param(f.d.numerator, f.d.denominator))))
+    return RepOperator(model, atoms + (("sigma",), unip_atom(f.d)))
 
 
 def busemann_character_model(model: RepModel, m: SU11Element) -> float:

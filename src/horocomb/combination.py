@@ -106,8 +106,11 @@ def endpoint_tautological(t: float) -> RepModel:
 
 
 def make_representation(t: float, r: float) -> RepModel:
-    """The model with displacement t and angular invariant exactly r."""
+    """The model with displacement t and angular invariant exactly r; an r
+    in [-1e-12, 0), which `validate_params` accepts, is taken as 0."""
     verdict = validate_params(t, r)
     if verdict != "constructible":
         raise ParameterError(f"(t={t}, r={r}) is {verdict}, not constructible", verdict)
+    if -1e-12 <= r < 0:  # Im K1 >= 0 is an invariant of KernelContext
+        r = 0.0
     return RepModel.from_context(KernelContext(t, complex(-math.cos(r), math.sin(r))))

@@ -19,8 +19,9 @@ skip the check.
 
 Also provided: the isomorphism to SL2(R) (via its standard images on the
 upper-triangular subgroup and the rotation w), the double cover onto
-SO(1,2), translation lengths, and the image pairs of the four defining
-relations of the group presentation by unipotents u(r) and the element w.
+SO(1,2) and translation lengths.  `verification` checks the relations of
+the group presentation by unipotents u(r) and the element w as words of
+operator atoms.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Union
 
 import numpy as np
 
@@ -307,87 +308,6 @@ def displacement_su11(m: SU11Element) -> float:
     if classify_su11(m) != "hyperbolic":
         return 0.0
     return math.acosh(abs(float(m.a_re)))
-
-
-# ---------------------------------------------------------------------------
-# words in the presentation generators
-
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class Letter:
-    kind: str  # "u" | "w"
-    param: Fraction | None = None
-
-    def __post_init__(self):
-        if self.kind == "u":
-            if self.param is None or self.param == 0:
-                raise ValidationError("u-letters need a nonzero rational parameter")
-        elif self.kind != "w":
-            raise ValidationError(f"unknown letter kind {self.kind!r}")
-
-
-def U(r) -> Letter:
-    return Letter("u", _frac(r))
-
-
-W = Letter("w")
-
-GroupWord = tuple[Letter, ...]
-
-
-def s_word(r) -> GroupWord:
-    """Derived letter s(r) = w u(1/r) w u(r) w u(1/r)."""
-    r = _frac(r)
-    return (W, U(1 / r), W, U(r), W, U(1 / r))
-
-
-def eval_word(
-    word: Iterable[Letter],
-    u_image: Callable[[Fraction], T],
-    w_image: T,
-    mul: Callable[[T, T], T],
-    identity: T,
-) -> T:
-    """Left-to-right product of the images of a word's letters."""
-    out = identity
-    for letter in word:
-        out = mul(out, w_image if letter.kind == "w" else u_image(letter.param))
-    return out
-
-
-def presentation_pairs(
-    u_image: Callable[[Fraction], T],
-    w_image: T,
-    mul: Callable[[T, T], T],
-    identity: T,
-    samples: Sequence[Rat] = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3),
-) -> dict[str, list[tuple[T, T]]]:
-    """(lhs, rhs) image pairs of the four presentation relations.
-
-    1. u is additive: u(a) u(b) = u(a+b)
-    2. s is multiplicative: s(a) s(b) = s(ab)
-    3. w^2 = s(-1)
-    4. s(a) u(b) s(1/a) = u(b a^2)
-    """
-    samples = [_frac(x) for x in samples]
-    ev = lambda word: eval_word(word, u_image, w_image, mul, identity)
-    grid = [(a, b) for a in samples for b in samples]
-    return {
-        "u_additive": [
-            (mul(ev((U(a),)), ev((U(b),))), identity if a + b == 0 else ev((U(a + b),)))
-            for a, b in grid
-        ],
-        "s_multiplicative": [
-            (mul(ev(s_word(a)), ev(s_word(b))), ev(s_word(a * b))) for a, b in grid
-        ],
-        "w_squared": [(mul(w_image, w_image), ev(s_word(-1)))],
-        "s_u_conjugation": [
-            (mul(mul(ev(s_word(a)), ev((U(b),))), ev(s_word(1 / a))), ev((U(b * a * a),)))
-            for a, b in grid
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

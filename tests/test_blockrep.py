@@ -14,7 +14,6 @@ from horocomb.blockrep import (
     compare_up_to_phase,
     compose,
     evaluate,
-    identity_op,
     model_cartan,
     op_diag,
     op_sigma,
@@ -236,7 +235,7 @@ def test_evaluate_parabolic_factorization():
 def test_evaluate_minus_identity():
     m = make(0.5, 0.2)
     res = compare_up_to_phase(
-        m, evaluate(m, su11.SU11Element.identity().neg()), identity_op(m), exact=True
+        m, evaluate(m, su11.SU11Element.identity().neg()), RepOperator(m, ()), exact=True
     )
     assert res.equal
 

@@ -311,6 +311,15 @@ def test_negative_values_need_no_equals_sign(capsys, argv, flag, value):
     assert spaced[0] == 0 and spaced[2] == ""
 
 
+def test_tiny_negative_r_builds_the_r_zero_model(capsys):
+    # validate_params accepts r down to -1e-12; the model keeps Im K1 >= 0
+    code, out, err = run_cli(capsys, "model", "build", "--t", "0.5", "--r", "-1e-20")
+    rep = json.loads(out)
+    assert (code, err) == (0, "")
+    assert rep["r"] == 0.0 and rep["k1"]["im"] == 0.0
+    assert out == run_cli(capsys, "model", "build", "--t", "0.5", "--r", "0")[1]
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract over generated argv
 

@@ -12,23 +12,20 @@ from horocomb.su11 import (
     ParabolicCoords,
     PsPFactors,
     SU11Element,
-    U,
     bruhat_factor,
     classify_su11,
     displacement_su11,
-    eval_word,
     g,
     phi_to_so12,
-    presentation_pairs,
     psi_to_sl2,
     random_su11,
     rationalize,
     reconstruct,
     s_element,
-    s_word,
     to_su11,
     SO12_FORM,
 )
+from horocomb.verification import relation_words
 
 
 def matrix_deviation(a: SU11Element, b: SU11Element) -> float:
@@ -236,83 +233,79 @@ def test_displacement_doubles_under_phi():
 
 
 # ---------------------------------------------------------------------------
-# words and the presentation
+# the verdict's relation words, evaluated in the group
+#
+# `relation_words` gives the (lhs, rhs) atom words that `relation_checks` and
+# `sigma_relation_checks` compare; here each atom maps to the group element
+# it represents, and each word to the left-to-right product of its atoms.
+
+def element(word, unip=lambda b: g(1, b)) -> SU11Element:
+    images = {"unip": unip, "sigma": s_element, "diag": lambda lam: g(lam, 0)}
+    out = SU11Element.identity()
+    for kind, *params in word:
+        out = out * images[kind](*params)
+    return out
+
+
+PRESENTATION = [
+    "relation_s_multiplicative",
+    "relation_s_u_conjugation",
+    "relation_u_additive",
+    "relation_w_squared",
+]
+
 
 def test_empty_word_is_identity():
-    out = eval_word((), lambda r: g(1, r), s_element(), lambda a, b: a * b, SU11Element.identity())
-    assert out == SU11Element.identity()
+    assert element(()) == SU11Element.identity()
+    # u(a) u(-a) = u(0): the u(0) atom is the identity too
+    pairs = relation_words()["relation_u_additive"]
+    zero_sums = [(lhs, rhs) for lhs, rhs in pairs if rhs == (("unip", 0),)]
+    assert len(zero_sums) == 6
+    assert all(element(lhs) == element(rhs) == SU11Element.identity() for lhs, rhs in zero_sums)
 
 
 def test_w_squared_equals_s_minus_one():
-    ev = lambda word: eval_word(
-        word, lambda r: g(1, r), s_element(), lambda a, b: a * b, SU11Element.identity()
-    )
-    assert matrix_deviation(s_element() * s_element(), ev(s_word(-1))) == 0.0
+    [(lhs, rhs)] = relation_words()["relation_w_squared"]
+    assert element(lhs) == element(rhs) == s_element() * s_element()
 
 
 def test_s_conjugation_relation():
-    ev = lambda word: eval_word(
-        word, lambda r: g(1, r), s_element(), lambda a, b: a * b, SU11Element.identity()
-    )
-    lhs = ev(s_word(2)) * ev((U(3),)) * ev(s_word(Fraction(1, 2)))
-    assert matrix_deviation(lhs, ev((U(12),))) == 0.0
+    pairs = relation_words()["relation_s_u_conjugation"]
+    assert len(pairs) == 49
+    assert all(element(lhs) == element(rhs) for lhs, rhs in pairs)
 
 
 def test_s_word_lands_on_diagonal():
-    ev = lambda word: eval_word(
-        word, lambda r: g(1, r), s_element(), lambda a, b: a * b, SU11Element.identity()
-    )
-    for a in (2, 3, Fraction(1, 2)):
-        assert matrix_deviation(ev(s_word(a)), g(a, 0)) == 0.0
-
-
-def worst_deviations(deviation, **images) -> dict:
-    """The worst deviation over the image pairs of each presentation relation."""
-    return {k: max(deviation(a, b) for a, b in v) for k, v in presentation_pairs(**images).items()}
+    # s(b) = g(b, 0) and s(-b) = -g(b, 0): equal up to the centre, which the
+    # projective comparison does not see
+    words = relation_words()
+    assert all(element(lhs) == element(rhs) for lhs, rhs in words["sigma_relation_eps_plus"])
+    assert all(element(lhs) == element(rhs).neg() for lhs, rhs in words["sigma_relation_eps_minus"])
 
 
 def test_presentation_check_canonical():
-    report = worst_deviations(
-        matrix_deviation,
-        u_image=lambda r: g(1, r),
-        w_image=s_element(),
-        mul=lambda a, b: a * b,
-        identity=SU11Element.identity(),
-    )
-    assert max(report.values()) < 1e-10
+    words = relation_words()
+    assert sorted(k for k in words if k.startswith("relation_")) == PRESENTATION
+    assert all(element(lhs) == element(rhs) for k in PRESENTATION for lhs, rhs in words[k])
 
 
 def test_presentation_check_under_phi():
-    report = worst_deviations(
-        lambda a, b: float(np.max(np.abs(a - b))),
-        u_image=lambda r: phi_to_so12(g(1, r)),
-        w_image=phi_to_so12(s_element()),
-        mul=lambda a, b: a @ b,
-        identity=np.eye(3),
+    worst = max(
+        float(np.max(np.abs(phi_to_so12(element(lhs)) - phi_to_so12(element(rhs)))))
+        for pairs in relation_words().values()
+        for lhs, rhs in pairs
     )
-    assert max(report.values()) < 1e-9
+    assert worst < 1e-9
 
 
 def test_presentation_check_negative_control():
     # corrupting u(1) by a 1% parameter shift must blow up the additive relation
-    def u_image(r):
-        if r == 1:
-            return g(1, Fraction(101, 100))
-        return g(1, r)
-
-    report = worst_deviations(
-        matrix_deviation,
-        u_image=u_image,
-        w_image=s_element(),
-        mul=lambda a, b: a * b,
-        identity=SU11Element.identity(),
+    unip = lambda b: g(1, Fraction(101, 100) if b == 1 else b)
+    worst = max(
+        matrix_deviation(element(lhs, unip), element(rhs, unip))
+        for lhs, rhs in relation_words()["relation_u_additive"]
     )
-    assert report["u_additive"] > 1e-3
-
-
-def test_letter_validation():
-    with pytest.raises(ValidationError):
-        U(0)
+    assert worst > 1e-3
 
 
 # ---------------------------------------------------------------------------
