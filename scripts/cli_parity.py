@@ -2,14 +2,16 @@
 """Print one SHA-256 over the exit code, stdout and stderr of a fixed list
 of CLI runs, so that two trees can be compared byte for byte.
 
-The probes: `model verify --suite all --seed 7` at four strata,
-`gns-check`, `cartan-limit` as CSV and as JSON (one of them the exit-1 run
-with `--steps 208`), `maps`, `combine`, `model verify --suite kernel` at
-seeds 0-5, and `model verify --suite relations` at seeds 0-2, whose group-law
-pairs are drawn from the seed.  Each runs in this process through
-`horocomb.cli.main`, with HOROCOMB_TOLERANCE_SCALE removed from the
-environment.  The relations probes were added after the kernel ones, so the
-digest differs from one taken with the shorter list.
+The probes cover all seven subcommands: `model verify --suite all --seed 7`
+at four strata, `gns-check`, `cartan-limit` as CSV and as JSON (one of them
+the exit-1 run with `--steps 208`), `maps`, `combine`, `model verify --suite
+kernel` at seeds 0-5, `model verify --suite relations` at seeds 0-2, whose
+group-law pairs are drawn from the seed, `classify` on one element of P and
+two of PsP, and `model build` at r = 0.3 and at r = -1e-20, which builds the
+r = 0 model.  Each runs in this process through `horocomb.cli.main`, with
+HOROCOMB_TOLERANCE_SCALE removed from the environment.  Probes were added
+to the end of the list over time, so the digest differs from one taken with
+a shorter list.
 
 Usage: PYTHONPATH=src python scripts/cli_parity.py
 """
@@ -36,6 +38,11 @@ PROBES = [
     ["combine", "--t", "0.5", "--r1", "0.2", "--r2", "0.4", "--u", "0.3"],
     *(["model", "verify", *MODEL, "--suite", "kernel", "--seed", str(s)] for s in range(6)),
     *(["model", "verify", *MODEL, "--suite", "relations", "--seed", str(s)] for s in range(3)),
+    ["classify", "--lam", "3/2", "--b", "-1/3"],
+    ["classify", "--alpha", "0,1", "--beta", "0,0"],
+    ["classify", "--alpha", "1,1", "--beta", "1,0"],
+    ["model", "build", *MODEL],
+    ["model", "build", "--t", "0.5", "--r", "-1e-20"],
 ]
 
 

@@ -13,7 +13,6 @@ from .blockrep import (
     apply,
     basepoint,
     compare_up_to_phase,
-    compose,
     evaluate,
     op_diag,
     op_sigma,
@@ -55,7 +54,6 @@ __all__ = [
     "cartan_slope",
     "combine_models",
     "compare_up_to_phase",
-    "compose",
     "endpoint_real",
     "endpoint_tautological",
     "evaluate",

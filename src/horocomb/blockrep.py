@@ -30,7 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class RepModel:
     """A kernel context normalized to |K1| = 1 (the nu = 1 gauge)."""
 
     ctx: KernelContext
-    scale: float = 1.0  # |K1| of the context this model was normalized from
 
     def __post_init__(self):
         if abs(abs(self.ctx.k1) - 1.0) > 1e-12:
@@ -79,8 +78,7 @@ class RepModel:
 
     @staticmethod
     def from_context(ctx: KernelContext) -> "RepModel":
-        mod = abs(ctx.k1)
-        return RepModel(KernelContext(ctx.t, ctx.k1 / mod), scale=mod)
+        return RepModel(KernelContext(ctx.t, ctx.k1 / abs(ctx.k1)))
 
     @property
     def t(self) -> float:
@@ -96,9 +94,6 @@ class RepOperator:
 
     model: RepModel
     atoms: tuple[Atom, ...]
-
-    def __matmul__(self, other: "RepOperator") -> "RepOperator":
-        return compose(self, other)
 
 
 def op_diag(model: RepModel, lam) -> RepOperator:
@@ -120,12 +115,6 @@ def op_unipotent(model: RepModel, b) -> RepOperator:
 
 def op_sigma(model: RepModel) -> RepOperator:
     return RepOperator(model, (("sigma",),))
-
-
-def compose(a: RepOperator, b: RepOperator) -> RepOperator:
-    if a.model is not b.model and a.model.ctx is not b.model.ctx:
-        raise UsageError("operators from different models")
-    return RepOperator(a.model, a.atoms + b.atoms)
 
 
 def _apply_diag(ctx: KernelContext, lam: Fraction, coeffs: Mapping) -> dict:
@@ -229,11 +218,10 @@ def busemann_character_model(model: RepModel, m: SU11Element) -> float:
 # ---------------------------------------------------------------------------
 # probe machinery and projective comparison
 
-def probe_vectors(model: RepModel, *ops: RepOperator, extra: Iterable[Fraction] = ()) -> list[FormalVector]:
+def probe_vectors(model: RepModel, *ops: RepOperator) -> list[FormalVector]:
     """eta1, eta2 and C(b) probes for the base rationals and all unipotent
     parameters appearing in the operators; capped at PROBE_CAP symbols."""
-    params = set(BASE_PROBE_PARAMS) | {_frac(x) for x in extra}
-    params |= {atom[1] for op in ops for atom in op.atoms if atom[0] == "unip"}
+    params = set(BASE_PROBE_PARAMS) | {a[1] for op in ops for a in op.atoms if a[0] == "unip"}
     params.discard(Fraction(0))
     if len(params) + 2 > PROBE_CAP:
         raise ProbeOverflowError(f"probe set would need {len(params) + 2} symbols")

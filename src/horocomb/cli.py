@@ -37,12 +37,7 @@ import numpy as np
 from . import su11
 from .combination import combine_models, CombinationSpec, make_representation, mix_weights_for_target
 from .errors import ParameterError, ValidationError
-from .invariants import (
-    cartan_limit_estimate,
-    geometric_schedule,
-    model_arg,
-    validate_params,
-)
+from .invariants import cartan_limit_estimate, geometric_schedule, model_arg
 from .kernelspace import eigenvalue_signature
 from .su11 import SU11Element, bruhat_factor, classify_su11, displacement_su11, phi_to_so12, psi_to_sl2
 from .verification import check, limit_checks, orbit_spectrum, run_suite
@@ -165,7 +160,7 @@ def cmd_model_build(args) -> int:
             "t": model.t,
             "r": model_arg(model),
             "k1": _complex_json(model.ctx.k1),
-            "verdict": validate_params(args.t, args.r),
+            "verdict": "constructible",  # make_representation refuses any other
         }
     )
     return EXIT_OK
@@ -223,8 +218,8 @@ def cmd_cartan_limit(args) -> int:
         _emit_json(
             {
                 "command": "cartan-limit",
-                "t": args.t,
-                "r": args.r,
+                "t": model.t,
+                "r": model_arg(model),
                 "target": -model_arg(model),
                 "points": [
                     {"b": b, "cartan": v, "extrapolated": e}
@@ -249,8 +244,8 @@ def cmd_gns_check(args) -> int:
     _emit_json(
         {
             "command": "gns-check",
-            "t": args.t,
-            "r": args.r,
+            "t": model.t,
+            "r": model_arg(model),
             "sample": args.sample,
             "seed": args.seed,
             "eigenvalues": [float(x) for x in eigs],

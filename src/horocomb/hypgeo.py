@@ -138,16 +138,9 @@ class FormIsometry:
         object.__setattr__(self, "matrix", m)
 
     def __matmul__(self, other):
-        if isinstance(other, FormIsometry):
-            if other.space is not self.space:
-                raise UsageError("isometries from different spaces")
-            return FormIsometry(self.space, self.matrix @ other.matrix)
         if isinstance(other, HPoint):
             return HPoint(self.space, self.matrix @ other.lift)
         return NotImplemented
-
-    def inv(self) -> "FormIsometry":
-        return FormIsometry(self.space, np.linalg.inv(self.matrix))
 
 
 def _same_space(*objs) -> HermitianFormSpace:

@@ -83,7 +83,6 @@ def geometric_schedule(start: float = 1.0, ratio: float = 10.0, steps: int = 9) 
 
 def model_cartan_at(model: RepModel, b) -> float:
     """Cart(rho(1,b) x, rho(1,-b) x, x) at the sigma-fixed basepoint."""
-    b = Fraction(b) if not isinstance(b, Fraction) else b
     return model_cartan(model, op_unipotent(model, b), op_unipotent(model, -b))
 
 
@@ -120,7 +119,7 @@ def cartan_limit_estimate(model: RepModel, b_schedule: Sequence) -> CartanLimit:
     C * b^(-t/2) between consecutive geometric points; a t so small that
     the step's factor ratio^(t/2) rounds to 1 leaves the step undefined.
     """
-    bs = [Fraction(b) if not isinstance(b, Fraction) else b for b in b_schedule]
+    bs = [su11._frac(b) for b in b_schedule]
     vals = [model_cartan_at(model, b) for b in bs]
     running: list[float] = [vals[0]]
     p = model.t / 2.0

@@ -24,12 +24,12 @@ atom from a reduced integer pair; it hashes as its Fraction does and
 carries its float (`x`), which the kernel reads instead of converting.
 
 `pairing` pairs two vectors; `pairing_matrix` pairs two families of
-vectors at once and is what every Gram and comparison uses.  It packs each
-family slot by slot (vector i's p-th C-symbol as the float of its exact
-parameter next to its coefficient) and sums the kernel over slot pairs, so
-its cost is (C-symbols per vector)^2 times the product of the family
-sizes, and no two symbols are ever merged.  Small families take every slot
-pair in one array; large ones loop over slot pairs.
+vectors at once and is what every Gram uses.  It packs each family slot by
+slot (vector i's p-th C-symbol as the float of its exact parameter next to
+its coefficient) and sums the kernel over slot pairs, so its cost is
+(C-symbols per vector)^2 times the product of the family sizes, and no two
+symbols are ever merged.  Small families take every slot pair in one array;
+large ones loop over slot pairs.
 
 Also here: Gram/signature utilities, the phase-corrected orbit Gram of a
 family of unit vectors (one positive eigenvalue for a genuine isometric
@@ -184,20 +184,6 @@ class FormalVector:
         if self.ctx.degenerate and any(s[0] == "c" for s in clean):
             raise UsageError("degenerate context (Re K1 = 0) carries no C-symbols")
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
-
-    def __add__(self, other: "FormalVector") -> "FormalVector":
-        if other.ctx is not self.ctx:
-            raise UsageError("vectors from different contexts")
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0.0) + c
-        return FormalVector(self.ctx, out)
-
-    def __sub__(self, other: "FormalVector") -> "FormalVector":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: complex) -> "FormalVector":
-        return FormalVector(self.ctx, {s: scalar * c for s, c in self.coeffs.items()})
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.coeffs.values())

@@ -121,12 +121,6 @@ class SU11Element:
         return f"SU11Element({', '.join(str(Fraction(n, self._den)) for n in self._num)})"
 
     @staticmethod
-    def from_alpha_beta(alpha: complex, beta: complex, denom_cap: int | None = None) -> "SU11Element":
-        parts = [alpha.real, alpha.imag, beta.real, beta.imag]
-        fracs = [Fraction(p) if denom_cap is None else rationalize(p, denom_cap) for p in parts]
-        return SU11Element(*fracs)
-
-    @staticmethod
     def identity() -> "SU11Element":
         return SU11Element(1, 0, 0, 0)
 
@@ -162,12 +156,6 @@ class SU11Element:
 
     def neg(self) -> "SU11Element":
         return SU11Element._from_ints(tuple(-n for n in self._num), self._den)
-
-    # entries of the same element in the isotropic basis {xi1, xi2}:
-    # [[p, i q], [i r, s]] with p, q, r, s rational
-    def xi_entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        ar, ai, br, bi = self._num
-        return tuple(Fraction(n, self._den) for n in (ar + br, ai - bi, ai + bi, ar - br))
 
 
 def s_element() -> SU11Element:

@@ -320,6 +320,14 @@ def test_tiny_negative_r_builds_the_r_zero_model(capsys):
     assert out == run_cli(capsys, "model", "build", "--t", "0.5", "--r", "0")[1]
 
 
+@pytest.mark.parametrize("argv", [["gns-check"], ["cartan-limit", "--format", "json"]])
+def test_commands_print_the_model_r_not_the_argv_r(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--t", "0.5", "--r", "-1e-20")
+    rep = json.loads(out)
+    assert (code, err) == (0, "")
+    assert rep["t"] == 0.5 and rep["r"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract over generated argv
 

@@ -46,6 +46,15 @@ def test_form_must_be_self_adjoint():
         HermitianFormSpace("complex", np.array([[1.0, 1.0], [0.0, -1.0]]))
 
 
+@pytest.mark.parametrize(
+    "tag, matrix",
+    [("complex", np.ones((2, 3))), ("complex", np.ones(2)), ("quaternion", np.diag([1.0, -1.0]))],
+)
+def test_form_must_be_square_over_a_known_field(tag, matrix):
+    with pytest.raises(ValidationError):
+        HermitianFormSpace(tag, matrix)
+
+
 def test_form_must_have_one_positive_direction():
     with pytest.raises(ValidationError):
         HermitianFormSpace("complex", np.diag([1.0, 1.0, -1.0]))

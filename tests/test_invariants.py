@@ -155,3 +155,14 @@ def test_schedule_validation():
         geometric_schedule(0.0, 10.0, 5)
     with pytest.raises(ValidationError):
         geometric_schedule(1.0, 1.0, 5)
+
+
+def test_cartan_intake_is_exact_and_refuses_strings():
+    model = make(0.5, 0.3)
+    assert model_cartan_at(model, 0.5) == model_cartan_at(model, Fraction(1, 2))
+    exact = cartan_limit_estimate(model, [Fraction(1), Fraction(10)])
+    assert cartan_limit_estimate(model, [1, 10.0]) == exact
+    with pytest.raises(TypeError):
+        model_cartan_at(model, "1/2")
+    with pytest.raises(TypeError):
+        cartan_limit_estimate(model, ["1", "10"])

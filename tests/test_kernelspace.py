@@ -139,10 +139,14 @@ def test_pairing_hermitian_and_sesquilinear(a, b, c, d, scale):
     v = FormalVector(ctx, {ETA2: d, csym(1): a, csym(-2): b})
     w = FormalVector(ctx, {ETA1: c, csym(Fraction(1, 3)): d})
     assert pairing(u, v) == pytest.approx(pairing(v, u).conjugate(), abs=1e-9)
-    assert pairing(scale * u + w, v) == pytest.approx(
+    su_w = FormalVector(
+        ctx, {ETA1: scale * a + c, ETA2: scale * b, csym(1): scale * c, csym(Fraction(1, 3)): d}
+    )  # scale u + w
+    assert pairing(su_w, v) == pytest.approx(
         scale * pairing(u, v) + pairing(w, v), abs=1e-9
     )
-    assert pairing(u, scale * v) == pytest.approx(
+    sv = FormalVector(ctx, {ETA2: scale * d, csym(1): scale * a, csym(-2): scale * b})
+    assert pairing(u, sv) == pytest.approx(
         scale.conjugate() * pairing(u, v), abs=1e-9
     )
 
@@ -194,6 +198,7 @@ def test_c_family_linearly_independent(t):
 def test_signature_zero_band():
     mat = np.diag([1.0, -1.0, 1e-12])
     assert signature_count(mat) == (1, 1, 1)
+    assert signature_count(np.zeros((3, 3))) == (0, 3, 0)  # no scale: every eigenvalue is zero
 
 
 # ---------------------------------------------------------------------------
