@@ -139,14 +139,14 @@ def test_pairing_hermitian_and_sesquilinear(a, b, c, d, scale):
     v = FormalVector(ctx, {ETA2: d, csym(1): a, csym(-2): b})
     w = FormalVector(ctx, {ETA1: c, csym(Fraction(1, 3)): d})
     assert pairing(u, v) == pytest.approx(pairing(v, u).conjugate(), abs=1e-9)
-    su_w = FormalVector(
+    scaled_u_plus_w = FormalVector(
         ctx, {ETA1: scale * a + c, ETA2: scale * b, csym(1): scale * c, csym(Fraction(1, 3)): d}
-    )  # scale u + w
-    assert pairing(su_w, v) == pytest.approx(
+    )
+    assert pairing(scaled_u_plus_w, v) == pytest.approx(
         scale * pairing(u, v) + pairing(w, v), abs=1e-9
     )
-    sv = FormalVector(ctx, {ETA2: scale * d, csym(1): scale * a, csym(-2): scale * b})
-    assert pairing(u, sv) == pytest.approx(
+    scaled_v = FormalVector(ctx, {ETA2: scale * d, csym(1): scale * a, csym(-2): scale * b})
+    assert pairing(u, scaled_v) == pytest.approx(
         scale.conjugate() * pairing(u, v), abs=1e-9
     )
 
