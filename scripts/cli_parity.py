@@ -7,9 +7,11 @@ at four strata, `gns-check`, `cartan-limit` as CSV and as JSON (one of them
 the exit-1 run with `--steps 208`), `maps`, `combine`, `model verify --suite
 kernel` at seeds 0-5, `model verify --suite relations` at seeds 0-2, whose
 group-law pairs are drawn from the seed, `classify` on one element of P and
-two of PsP, and `model build` at r = 0.3 and at r = -1e-20, which builds the
-r = 0 model.  Each runs in this process through `horocomb.cli.main`, with
-HOROCOMB_TOLERANCE_SCALE removed from the environment.  Probes were added
+two of PsP, `model build` at r = 0.3 and at r = -1e-20, which builds the
+r = 0 model, and `model verify --suite gram` at seeds 0-2, whose orbit Grams
+are embedded by `reconstruct_embedding`.  Each runs in this process through
+`horocomb.cli.main`, with HOROCOMB_TOLERANCE_SCALE removed from the
+environment.  Probes were added
 to the end of the list over time, so the digest differs from one taken with
 a shorter list.
 
@@ -43,6 +45,7 @@ PROBES = [
     ["classify", "--alpha", "1,1", "--beta", "1,0"],
     ["model", "build", *MODEL],
     ["model", "build", "--t", "0.5", "--r", "-1e-20"],
+    *(["model", "verify", *MODEL, "--suite", "gram", "--seed", str(s)] for s in range(3)),
 ]
 
 

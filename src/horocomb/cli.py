@@ -197,9 +197,9 @@ def cmd_combine(args) -> int:
     _emit_json(
         {
             "command": "combine",
-            "t": args.t,
-            "r1": args.r1,
-            "r2": args.r2,
+            "t": m1.t,
+            "r1": model_arg(m1),
+            "r2": model_arg(m2),
             "u": args.u,
             "weights": {"p": p, "q": q},
             "k1": _complex_json(combined.ctx.k1),

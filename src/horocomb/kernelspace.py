@@ -34,8 +34,9 @@ large ones loop over slot pairs.
 Also here: Gram/signature utilities, the phase-corrected orbit Gram of a
 family of unit vectors (one positive eigenvalue for a genuine isometric
 orbit), the positive-type check for cosh-distance kernels and their
-fractional powers, and reconstruction of coordinates in a (1, k) space
-from a Gram matrix.
+fractional powers, and coordinates in a (1, k) space for a Gram matrix: a
+Cholesky factor of its Schur complement where that certifies signature
+(1, 0, n - 1), else its eigendecomposition (say for a rank-deficient Gram).
 """
 
 from __future__ import annotations
@@ -377,10 +378,29 @@ def positive_type_check(
 def reconstruct_embedding(
     gram: np.ndarray, zero_band: float = ZERO_BAND
 ) -> tuple[HermitianFormSpace, list[np.ndarray]]:
-    """Coordinate vectors w_i in a diag(1, -1, ..., -1) space with
-    B(w_i, w_j) = gram[i, j]; requires signature (1, 0, k) after dropping
-    eigenvalues inside the zero band."""
+    """Coordinates w_i in a diag(1, -1, ..., -1) space with B(w_i, w_j) = gram[i, j].
+
+    With p the largest diagonal entry, g = gram[:, p] / sqrt(gram[p, p]) and
+    S = g g^H - gram off p, a Cholesky factor L of S certifies signature
+    (1, 0, n - 1) (Haynsworth) and gives w_i = (g_i, L_i), L_p = 0.  It is
+    tried if gram[p, p] > zero_band |gram|_F, so that the positive eigenvalue
+    (>= gram[p, p]) is outside the zero band; else eigh needs (1, 0, k) outside it."""
     gram = np.asarray(gram, dtype=complex)
+    if not np.isfinite(gram).all():
+        raise ReconstructionError("Gram has non-finite entries, need exactly 1 positive direction")
+    diag = gram.diagonal().real
+    if diag.size and diag.max() > zero_band * np.linalg.norm(gram):
+        p = int(np.argmax(diag))
+        rest = np.arange(len(diag)) != p
+        g = gram[:, p] / math.sqrt(diag[p])
+        try:
+            low = np.linalg.cholesky(np.outer(g[rest], g[rest].conj()) - gram[np.ix_(rest, rest)])
+        except np.linalg.LinAlgError:
+            pass  # S singular or indefinite
+        else:
+            coords = np.zeros(gram.shape, dtype=complex)
+            coords[:, 0], coords[rest, 1:] = g, low
+            return minkowski_space(len(diag) - 1, "complex"), list(coords)
     eigs, vecs = np.linalg.eigh(gram)
     npos = eigenvalue_signature(eigs, zero_band)[0]
     if npos != 1:

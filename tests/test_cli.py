@@ -328,6 +328,14 @@ def test_commands_print_the_model_r_not_the_argv_r(capsys, argv):
     assert rep["t"] == 0.5 and rep["r"] == 0.0
 
 
+def test_combine_prints_its_models_r_not_the_argv_r(capsys):
+    # m1 is built as the r = 0 model, so its r and its weights read 0
+    code, out, err = run_cli(capsys, "combine", "--t", "0.5", "--r1=-1e-20", "--r2", "0.4", "--u", "0.3")
+    rep = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (rep["t"], rep["r1"], rep["r2"]) == (0.5, 0.0, 0.4)
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract over generated argv
 

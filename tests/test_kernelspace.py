@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horocomb import hypgeo, kernelspace, su11
+from horocomb.blockrep import orbit_gram
+from horocomb.combination import make_representation
 from horocomb.errors import ReconstructionError, UsageError, ValidationError
 from horocomb.kernelspace import (
     ETA1,
@@ -461,3 +463,62 @@ def test_reconstruct_roundtrip_tautological():
 def test_reconstruct_rejects_wrong_signature():
     with pytest.raises(ReconstructionError):
         reconstruct_embedding(np.eye(2))
+
+
+def roundtrip(space, pts, gram) -> float:
+    p = np.array(pts)
+    return float(np.max(np.abs(p @ space.matrix.T @ p.conj().T - gram)) / np.max(np.abs(gram)))
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [[[math.nan, 1.0], [1.0, 0.0]], [[1.0, math.inf], [math.inf, -1.0]], [[1.0, 0.5], [0.5, math.nan]]],
+)
+def test_reconstruct_refuses_a_non_finite_gram(gram):
+    # eigh reads [[nan, 1], [1, 0]] as one positive direction with NaN points
+    with pytest.raises(ReconstructionError):
+        reconstruct_embedding(np.array(gram))
+
+
+def test_reconstruct_factors_at_the_largest_diagonal_entry(monkeypatch):
+    # a positive congruence D G D keeps the signature and moves the pivot off 0
+    rng = np.random.default_rng(61)
+    els = [su11.SU11Element.identity()] + [su11.random_su11(rng) for _ in range(7)]
+    d = np.array([1.0, 1.5, 0.7, 2.0, 1.2, 0.9, 1.1, 0.8])
+    gram = d[:, None] * orbit_gram(make_representation(0.5, 0.3), els) * d[None, :]
+    assert np.argmax(gram.diagonal().real) == 3
+    monkeypatch.setattr(np.linalg, "eigh", None)  # the Schur complement alone embeds it
+    space, pts = reconstruct_embedding(gram)
+    assert space.dim == 8
+    assert roundtrip(space, pts, gram) <= 1e-12
+
+
+@pytest.mark.parametrize("eps, dim", [(1e-11, 3), (1e-6, None), (-1e-11, 4)])
+def test_reconstruct_accepts_a_near_null_direction_as_the_signature_does(eps, dim):
+    # at +1e-11 the Schur complement is indefinite and eigh drops the null
+    # direction; at -1e-11 it is definite and factors; 1e-6 is a second
+    # positive direction
+    rng = np.random.default_rng(67)
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    gram = v @ np.diag([1.0, eps, -0.5, -0.3]) @ v.conj().T
+    gram = (gram + gram.conj().T) / 2
+    assert (kernelspace.eigenvalue_signature(np.linalg.eigvalsh(gram))[0] == 1) is (dim is not None)
+    if dim is None:
+        with pytest.raises(ReconstructionError):
+            reconstruct_embedding(gram)
+        return
+    space, pts = reconstruct_embedding(gram)
+    assert space.dim == dim and roundtrip(space, pts, gram) <= 1e-9
+
+
+def test_reconstruct_refuses_a_positive_direction_inside_the_zero_band():
+    # its Schur complement [[1]] factors, but the signature reads (0, 1, 1)
+    gram = np.diag([1e-12, -1.0])
+    assert signature_count(gram) == (0, 1, 1)
+    with pytest.raises(ReconstructionError):
+        reconstruct_embedding(gram)
+
+
+def test_reconstruct_single_point():
+    space, pts = reconstruct_embedding(np.array([[1.0]]))
+    assert space.dim == 1 and space.pair(pts[0], pts[0]) == 1.0

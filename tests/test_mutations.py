@@ -131,6 +131,13 @@ def unip_with_nan_behind_a_rounding_residual(original):
     return apply_unip
 
 
+def conjugated(original):
+    def factor(a):
+        return original(a).conj()
+
+    return factor
+
+
 def test_check_takes_the_worst_sample():
     assert check("x", [0.1, 0.3, 0.2], 0.25) == {
         "name": "x",
@@ -279,3 +286,17 @@ def test_nan_gram_fails_gns_check(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["pass"] is False
     assert captured.err == ""
+
+
+def test_conjugated_cholesky_factor_fails_the_roundtrip(monkeypatch):
+    # the embedding's Schur-complement factor L conjugated: its points give
+    # conj(L) L^T, which differs from L L^H for a complex Gram; a real Gram
+    # (r = 0) is blind to it
+    monkeypatch.setattr(np.linalg, "cholesky", conjugated(np.linalg.cholesky))
+    residuals = {}
+    for t, r in [(0.5, 0.3), (0.9, 1.2), (0.3, 0.0)]:
+        checks = run_suite(make_representation(t, r), "gram", np.random.default_rng(7), None)
+        assert {c["name"]: c["pass"] for c in checks}["gram_one_positive"]
+        residuals[t, r] = {c["name"]: c["residual"] for c in checks}["gram_embedding_roundtrip"]
+    assert residuals[0.5, 0.3] > 0.05 and residuals[0.9, 1.2] > 0.1
+    assert residuals[0.3, 0.0] < 1e-15
