@@ -19,9 +19,10 @@ An operator's atom tuple is a word, read left to right as a product, so
 `verification` states each word identity it checks as two atom tuples.
 Arbitrary group elements evaluate through the P | PsP factorization;
 products of evaluated operators agree with evaluation of products up to a
-unimodular phase (the action is projective on the linear level), and
-`compare_up_to_phase` decides such equalities by comparing the coefficients
-of the images of an auto-generated probe set.
+phase e^{inr}, r the angular invariant (the action is projective on the
+linear level); `verification` states the integer n of each identity, and
+`compare_up_to_phase` measures op_a - phase * op_b on the image
+coefficients of an auto-generated probe set.
 """
 
 from __future__ import annotations
@@ -231,30 +232,20 @@ def probe_vectors(model: RepModel, *ops: RepOperator) -> list[FormalVector]:
     return probes
 
 
-@dataclass(frozen=True)
-class CompareResult:
-    equal: bool
-    phase: complex
-    residual: float
-
-
 def compare_up_to_phase(
     model: RepModel,
     op_a: RepOperator,
     op_b: RepOperator,
+    phase: complex = 1,
     probes: Sequence[FormalVector] | None = None,
-    exact: bool = False,
-) -> CompareResult:
-    """Decide op_a = theta * op_b on the probe span, |theta| = 1.
+) -> float:
+    """The residual of op_a = phase * op_b on the probe span.
 
     The two images of each probe are compared coefficient by coefficient
     over the union of their symbols.  Symbols are linearly independent, so
-    equal coefficients are equal vectors; no pairing is needed.  theta is
-    fitted at the largest coefficient the two images share (theta = 1 when
-    they share none), and the residual is the largest coefficient
-    difference over max(1, largest |coefficient|); at most 1e-9 is equal.
-    ``exact`` pins theta = 1 for identities that must hold on the nose, not
-    just projectively.
+    equal coefficients are equal vectors; no pairing is needed.  The
+    residual is max |c_a - phase * c_b| over max(1, largest |coefficient|);
+    `verification.check` holds it against a tolerance.
     """
     if probes is None:
         probes = probe_vectors(model, op_a, op_b)
@@ -267,18 +258,11 @@ def compare_up_to_phase(
         [
             (ia.coeffs.get(s, 0j), ib.coeffs.get(s, 0j))
             for ia, ib in images
-            for s in {**ia.coeffs, **ib.coeffs}  # insertion order: deterministic ties
+            for s in ia.coeffs.keys() | ib.coeffs.keys()
         ]
     ).T
     scale = max(1.0, float(np.max(np.abs(ca))), float(np.max(np.abs(cb))))
-    common = np.minimum(np.abs(ca), np.abs(cb))
-    idx = np.argmax(common)
-    theta = 1.0 + 0.0j
-    if not exact and common[idx] > 0:
-        theta = complex(ca[idx] / cb[idx])
-        theta /= abs(theta)
-    residual = float(np.max(np.abs(ca - theta * cb))) / scale
-    return CompareResult(residual <= 1e-9, theta, residual)
+    return float(np.max(np.abs(ca - phase * cb))) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ check fails.  A suite is a list of checks.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -103,32 +104,48 @@ def s_word(r: Fraction) -> tuple:
 def relation_words(
     samples: Sequence[Fraction] = RELATION_SAMPLES,
     bs: Sequence[Fraction] = SIGMA_SAMPLES,
-) -> dict[str, list[tuple[tuple, tuple]]]:
-    """(lhs, rhs) atom words of each relation check, by check name.
+) -> dict[str, list[tuple[tuple, tuple, int]]]:
+    """(lhs, rhs, n) of each relation check, by check name: lhs = e^{inr} rhs.
 
-    relation_*: u(a) u(b) = u(a+b), s(a) s(b) = s(ab), w^2 = s(-1) and
-    s(a) u(b) s(1/a) = u(b a^2) over the sample grid;
-    sigma_relation_eps_*: s(eps b) = diag(b) for both signs of eps.
+    Exact rules: P-atoms compose as the group does, sigma^2 = 1 and
+    sigma diag(l) = diag(1/l) sigma.  The sigma relation s(a) = e^{ip} diag(|a|),
+    p = sign(a) r, reads off eta1: s(a) eta1 = k*(a) eta1, as the eta2-coefficient
+    1 + k*(a) k*(1/a) + k*(a) <C(-1/a), C(-1/a)> = 1 + e^{2ip} - 2 cos(r) e^{ip} is 0.
+    Over the sample grid, n is 0 for u(a) u(b) = u(a+b); sign(a) + sign(b) - sign(ab)
+    for s(a) s(b) = s(ab); -sign(-1) for w^2 = s(-1); sign(a) + sign(1/a) for
+    s(a) u(b) s(1/a) = u(b a^2); and eps for sigma_relation_eps_*: s(eps b) = diag(b).
     """
     samples, bs = [su11._frac(x) for x in samples], [su11._frac(x) for x in bs]
     grid = [(a, b) for a in samples for b in samples]
-    u = unip_atom
+    u, sign = unip_atom, lambda x: 1 if x > 0 else -1
     return {
-        "relation_s_multiplicative": [(s_word(a) + s_word(b), s_word(a * b)) for a, b in grid],
-        "relation_s_u_conjugation": [
-            (s_word(a) + (u(b),) + s_word(1 / a), (u(b * a * a),)) for a, b in grid
+        "relation_s_multiplicative": [
+            (s_word(a) + s_word(b), s_word(a * b), sign(a) + sign(b) - sign(a * b)) for a, b in grid
         ],
-        "relation_u_additive": [((u(a), u(b)), (u(a + b),)) for a, b in grid],
-        "relation_w_squared": [((SIGMA, SIGMA), s_word(Fraction(-1)))],
-        "sigma_relation_eps_minus": [(s_word(-b), (("diag", b),)) for b in bs],
-        "sigma_relation_eps_plus": [(s_word(b), (("diag", b),)) for b in bs],
+        "relation_s_u_conjugation": [
+            (s_word(a) + (u(b),) + s_word(1 / a), (u(b * a * a),), 2 * sign(a)) for a, b in grid
+        ],
+        "relation_u_additive": [((u(a), u(b)), (u(a + b),), 0) for a, b in grid],
+        "relation_w_squared": [((SIGMA, SIGMA), s_word(Fraction(-1)), 1)],
+        "sigma_relation_eps_minus": [(s_word(-b), (("diag", b),), -1) for b in bs],
+        "sigma_relation_eps_plus": [(s_word(b), (("diag", b),), 1) for b in bs],
     }
 
 
-def _identity_check(name: str, model: RepModel, pairs, tolerance: float, exact=False) -> dict:
-    """`compare_up_to_phase` residuals over (lhs, rhs) atom words."""
+def group_law_words(model: RepModel, a: su11.SU11Element, b: su11.SU11Element) -> tuple:
+    """(lhs, rhs, n) of rho(a) rho(b) = e^{inr} rho(ab): n = 0 if a or b is in P.
+    Else rho(a) rho(b) = D U sigma D(lam_b) U(x) sigma U, x = d_a / lam_b^2 + b_b / lam_b,
+    and the sigma relation at 1/x gives n = sign(x) (sigma^2 = 1 if x = 0)."""
+    wa, wb = evaluate(model, a).atoms, evaluate(model, b).atoms
+    x = wa[3][1] / wb[0][1] ** 2 + wb[1][1] if SIGMA in wa and SIGMA in wb else 0
+    return wa + wb, evaluate(model, a * b).atoms, (x > 0) - (x < 0)
+
+
+def _identity_check(name: str, model: RepModel, words, tolerance: float) -> dict:
+    """`compare_up_to_phase` residuals over (lhs, rhs, n) atom words at e^{inr}."""
+    r = model_arg(model)
     op = lambda word: RepOperator(model, word)
-    res = [compare_up_to_phase(model, op(a), op(b), exact=exact).residual for a, b in pairs]
+    res = [compare_up_to_phase(model, op(a), op(b), cmath.exp(1j * n * r)) for a, b, n in words]
     return check(name, res, tolerance)
 
 
@@ -257,7 +274,7 @@ def amap_checks(model: RepModel, tolerance: float = 1e-10) -> list[dict]:
         res.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
     return [
         check("amap_unitary", res, tolerance),
-        _identity_check("amap_involution", model, [((SIGMA, SIGMA), ())], tolerance, exact=True),
+        _identity_check("amap_involution", model, [((SIGMA, SIGMA), (), 0)], tolerance),
     ]
 
 
@@ -297,17 +314,13 @@ def homomorphism_checks(
     rng: np.random.Generator,
     n_pairs: int = 25,
 ) -> list[dict]:
-    """Projective group law: evaluation of products matches products of
-    evaluations up to a unimodular phase (exactly, with phase 1, on the
-    upper-triangular subgroup), to within 1e-10."""
-    def group_law(a: su11.SU11Element, b: su11.SU11Element):
-        return evaluate(model, a).atoms + evaluate(model, b).atoms, evaluate(model, a * b).atoms
-
+    """The group law at the phases of `group_law_words`, to within 1e-10."""
     draw_p = lambda: su11.g(_nonzero_rational(rng, 0.5, 2.0), _nonzero_rational(rng))
-    parabolic = [group_law(draw_p(), draw_p()) for _ in range(n_pairs)]
-    full = [group_law(su11.random_su11(rng), su11.random_su11(rng)) for _ in range(n_pairs)]
+    parabolic = [group_law_words(model, draw_p(), draw_p()) for _ in range(n_pairs)]
+    draw = su11.random_su11
+    full = [group_law_words(model, draw(rng), draw(rng)) for _ in range(n_pairs)]
     return [
-        _identity_check("homomorphism_parabolic_exact", model, parabolic, 1e-10, exact=True),
+        _identity_check("homomorphism_parabolic_exact", model, parabolic, 1e-10),
         _identity_check("homomorphism_projective", model, full, 1e-10),
     ]
 

@@ -41,6 +41,7 @@ from horocomb.kernelspace import (
     signature_count,
 )
 from horocomb.su11 import g, s_element
+from horocomb.verification import group_law_words
 
 
 def make(t, r):
@@ -221,8 +222,7 @@ def test_diag_unipotent_column_matches_group_element():
     assert set(img.coeffs) == set(want)
     for s, c in want.items():
         assert img.coeffs[s] == pytest.approx(c, abs=1e-14)
-    res = compare_up_to_phase(m, composite, evaluate(m, g(lam, lam * b)), exact=True)
-    assert res.equal and res.residual < 1e-12
+    assert compare_up_to_phase(m, composite, evaluate(m, g(lam, lam * b))) < 1e-12
 
 
 def test_evaluate_parabolic_factorization():
@@ -232,21 +232,19 @@ def test_evaluate_parabolic_factorization():
         m,
         evaluate(m, g(lam, b)),
         RepOperator(m, op_diag(m, lam).atoms + op_unipotent(m, b / lam).atoms),
-        exact=True,
     )
-    assert res.equal
+    assert res < 1e-12
 
 
 def test_evaluate_minus_identity():
     m = make(0.5, 0.2)
-    res = compare_up_to_phase(
-        m, evaluate(m, su11.SU11Element.identity().neg()), RepOperator(m, ()), exact=True
-    )
-    assert res.equal
+    res = compare_up_to_phase(m, evaluate(m, su11.SU11Element.identity().neg()), RepOperator(m, ()))
+    assert res < 1e-12
 
 
 def test_evaluate_sandwich_identity():
-    # s g(1,b) s g(1, b/|b|^2) s  =  g(1/|b|, -b/|b|), up to phase
+    # s g(1,b) s g(1, b/|b|^2) s  =  e^{i sign(b) r} g(1/|b|, -b/|b|): the
+    # group-law phase of s g(1, b) . s with x = b
     m = make(0.5, 0.2)
     for b in (Fraction(2), Fraction(1, 3), Fraction(-2)):
         inv = b / (b * b)
@@ -260,10 +258,10 @@ def test_evaluate_sandwich_identity():
             + evaluate(m, g(1, inv)).atoms
             + evaluate(m, s_element()).atoms,
         )
-        target = g(1 / abs(b), -b / abs(b))
-        res = compare_up_to_phase(m, composite, evaluate(m, target))
-        assert res.equal
-        assert abs(abs(res.phase) - 1.0) < 1e-12
+        target = evaluate(m, g(1 / abs(b), -b / abs(b)))
+        n = 1 if b > 0 else -1
+        assert compare_up_to_phase(m, composite, target, cmath.exp(0.2j * n)) < 1e-12
+        assert compare_up_to_phase(m, composite, target, cmath.exp(-0.2j * n)) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +270,15 @@ def test_evaluate_sandwich_identity():
 def test_compare_equal_operators():
     m = make(0.5, 0.2)
     op = RepOperator(m, op_diag(m, 2).atoms + op_sigma(m).atoms)
-    res = compare_up_to_phase(m, op, op)
-    assert res.equal and res.phase == pytest.approx(1.0) and res.residual < 1e-15
+    assert compare_up_to_phase(m, op, op) == 0.0
+    assert compare_up_to_phase(m, op, op, cmath.exp(0.1j)) > 0.05
 
 
 def test_compare_distinct_operators():
+    # unequal at every phase, not just at 1
     m = make(0.5, 0.2)
-    res = compare_up_to_phase(m, op_diag(m, 2), op_diag(m, 3))
-    assert not res.equal
+    phases = [cmath.exp(2j * math.pi * k / 64) for k in range(64)]
+    assert min(compare_up_to_phase(m, op_diag(m, 2), op_diag(m, 3), z) for z in phases) > 0.1
 
 
 def test_compare_sigma_conjugation_phase():
@@ -296,10 +295,9 @@ def test_compare_sigma_conjugation_phase():
     rhs = RepOperator(
         m, op_unipotent(m, 1 / b).atoms + op_sigma(m).atoms + op_unipotent(m, b).atoms
     )
-    res = compare_up_to_phase(m, lhs, rhs)
-    assert res.equal
-    assert res.phase == pytest.approx(m.ctx.block_k(-1), abs=1e-12)
-    assert res.phase == pytest.approx(cmath.exp(-0.2j), abs=1e-12)
+    assert m.ctx.block_k(-1) == pytest.approx(cmath.exp(-0.2j), abs=1e-15)
+    assert compare_up_to_phase(m, lhs, rhs, cmath.exp(-0.2j)) < 1e-12
+    assert compare_up_to_phase(m, lhs, rhs) > 0.1
 
 
 def test_probe_cap_overflow():
@@ -310,12 +308,11 @@ def test_probe_cap_overflow():
 
 def test_compare_images_without_a_common_symbol():
     # sigma C(2) = k*(2) C(-1/2) and unip(1) C(2) = <C(2), C(-1)> eta1 + C(3) - C(1)
-    # share no symbol: unequal, theta = 1, and the whole image is the residual
+    # share no symbol: at any phase the whole image is the residual
     m = make(0.5, 0.2)
-    res = compare_up_to_phase(m, op_sigma(m), op_unipotent(m, 1), probes=[cvec(m.ctx, 2)])
-    assert not res.equal
-    assert res.phase == 1.0
-    assert res.residual == pytest.approx(1.0)
+    for z in (1, cmath.exp(0.7j), -1j):
+        res = compare_up_to_phase(m, op_sigma(m), op_unipotent(m, 1), z, probes=[cvec(m.ctx, 2)])
+        assert res == pytest.approx(1.0)
 
 
 def test_empty_probes_rejected():
@@ -343,9 +340,8 @@ def test_parabolic_group_law_exact_phase():
             m,
             RepOperator(m, evaluate(m, ga).atoms + evaluate(m, gb).atoms),
             evaluate(m, ga * gb),
-            exact=True,
         )
-        worst = max(worst, res.residual)
+        worst = max(worst, res)
     assert worst < 1e-10
 
 
@@ -361,16 +357,50 @@ def test_projective_homomorphism_with_phase_identity():
         z = pairing(apply(evaluate(m, el), x), x)
         return z / abs(z)
 
+    seen = set()
     for _ in range(25):
         a, b = su11.random_su11(rng), su11.random_su11(rng)
-        res = compare_up_to_phase(
-            m, RepOperator(m, evaluate(m, a).atoms + evaluate(m, b).atoms), evaluate(m, a * b)
-        )
-        assert res.equal
-        assert abs(abs(res.phase) - 1.0) < 1e-10
+        lhs, rhs, n = group_law_words(m, a, b)
+        theta = cmath.exp(0.2j * n)
+        assert compare_up_to_phase(m, RepOperator(m, lhs), RepOperator(m, rhs), theta) < 1e-10
         alpha = model_cartan(m, evaluate(m, a * b), evaluate(m, a))
-        corrected = res.phase * unit_phase(a * b) / (unit_phase(a) * unit_phase(b))
+        corrected = theta * unit_phase(a * b) / (unit_phase(a) * unit_phase(b))
         assert corrected == pytest.approx(cmath.exp(-1j * alpha), abs=1e-10)
+        seen.add(n)
+    assert seen == {-1, 0, 1}
+
+
+# one exact pair per branch of the group-law phase rule; a = g(2, 1/3) s g(1, d_a)
+# and b = g(3/2, 1/2) s g(1, -2) give x = d_a / lam_b^2 + b_b / lam_b = 4 d_a / 9 + 1/3
+PSP_B = su11.reconstruct(su11.PsPFactors(Fraction(3, 2), Fraction(1, 2), Fraction(-2)))
+
+
+def psp_a(d_a):
+    return su11.reconstruct(su11.PsPFactors(Fraction(2), Fraction(1, 3), d_a))
+
+
+GROUP_LAW_BRANCHES = {
+    "psp_psp_x_positive": (psp_a(Fraction(1)), PSP_B, 1),
+    "psp_psp_x_negative": (psp_a(Fraction(-3)), PSP_B, -1),
+    "psp_psp_x_zero": (psp_a(Fraction(-3, 4)), PSP_B, 0),
+    "p_psp": (g(2, Fraction(1, 3)), PSP_B, 0),
+    "psp_p": (psp_a(Fraction(1)), g(Fraction(3, 2), Fraction(1, 2)), 0),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(GROUP_LAW_BRANCHES))
+@pytest.mark.parametrize("t, r", [(0.5, 0.3), (1.0, 0.9)])
+def test_group_law_phase_rule_branches(branch, t, r):
+    a, b, want = GROUP_LAW_BRANCHES[branch]
+    m = make(t, r)
+    lhs, rhs, n = group_law_words(m, a, b)
+    assert n == want
+    lands_in_p = isinstance(su11.bruhat_factor(a * b), su11.ParabolicCoords)
+    assert lands_in_p == (branch == "psp_psp_x_zero")
+    ops = RepOperator(m, lhs), RepOperator(m, rhs)
+    assert compare_up_to_phase(m, *ops, cmath.exp(1j * n * r)) < 1e-10
+    for wrong in (n - 1, n + 1):
+        assert compare_up_to_phase(m, *ops, cmath.exp(1j * wrong * r)) > 1e-3
 
 
 def test_busemann_character_model():

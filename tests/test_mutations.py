@@ -9,6 +9,7 @@ with seed 7.  A NaN in the kernel must fail the checks that read it: the
 worst sample decides, and NaN is never below a tolerance.
 """
 
+import cmath
 import dataclasses
 import json
 import math
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from horocomb import blockrep, kernelspace
+from horocomb import blockrep, kernelspace, verification
 from horocomb.cli import main
 from horocomb.combination import make_representation
 from horocomb.invariants import geometric_schedule
@@ -48,6 +49,13 @@ def failing_relation_family(t=0.5, r=0.3) -> set[str]:
         + homomorphism_checks(model, np.random.default_rng(7), n_pairs=3)
     )
     assert {c["name"] for c in checks} == RELATIONS | SIGMA_RELATIONS | HOMOMORPHISMS
+    return {c["name"] for c in checks if not c["pass"]}
+
+
+def failing_verdict(t=0.5, r=0.3) -> set[str]:
+    model = make_representation(t, r)
+    checks = run_suite(model, "all", np.random.default_rng(7), geometric_schedule())
+    assert len(checks) == 27
     return {c["name"] for c in checks if not c["pass"]}
 
 
@@ -87,6 +95,31 @@ def diag_with_shifted_t(original):
         return original(shifted, lam, coeffs)
 
     return apply_diag
+
+
+def image_times_phase(original):
+    # the atom's whole image turned by e^{i 1e-9}: a constant phase, which a
+    # comparison that fits its phase absorbs
+    def apply_atom(ctx, param, coeffs):
+        return {s: c * cmath.exp(1e-9j) for s, c in original(ctx, param, coeffs).items()}
+
+    return apply_atom
+
+
+def relation_words_off_by_one(original):
+    def relation_words(*args, **kwargs):
+        words = original(*args, **kwargs)
+        return {k: [(lhs, rhs, n + 1) for lhs, rhs, n in v] for k, v in words.items()}
+
+    return relation_words
+
+
+def group_law_words_off_by_one(original):
+    def group_law_words(model, a, b):
+        lhs, rhs, n = original(model, a, b)
+        return lhs, rhs, n + 1
+
+    return group_law_words
 
 
 def power_and_delta_with(transform):
@@ -180,6 +213,34 @@ def test_scaled_eta1_in_diag_fails_the_words_with_a_diagonal(monkeypatch):
     assert failing_relation_family() == SIGMA_RELATIONS | HOMOMORPHISMS
 
 
+def test_unip_phase_fails_every_word_with_unequal_unipotent_counts(monkeypatch):
+    # the two sides of each relation and group-law word differ in their number
+    # of unip atoms, so the defect turns lhs against rhs by a multiple of 1e-9;
+    # the group law reads 2e-9 against 1e-10, and relation_u_additive (one atom
+    # apart) reads 1e-9 plus rounding against its tolerance of 1e-9
+    monkeypatch.setattr(blockrep, "_apply_unip", image_times_phase(blockrep._apply_unip))
+    assert failing_verdict() == RELATIONS | SIGMA_RELATIONS | HOMOMORPHISMS | {
+        "kernel_c_cocycle",
+        "kernel_sigma_helper_vector",
+    }
+
+
+def test_diag_phase_fails_the_words_with_a_diagonal(monkeypatch):
+    monkeypatch.setattr(blockrep, "_apply_diag", image_times_phase(blockrep._apply_diag))
+    assert failing_verdict() == SIGMA_RELATIONS | HOMOMORPHISMS | {"kernel_c_dilation"}
+
+
+def test_identities_at_a_wrong_phase_fail_where_r_is_not_zero(monkeypatch):
+    # n + 1 in place of each stated n: every identity fails at r = 0.3, none at
+    # r = 0, where e^{inr} = 1 for every n
+    planted = relation_words_off_by_one(verification.relation_words)
+    monkeypatch.setattr(verification, "relation_words", planted)
+    planted = group_law_words_off_by_one(verification.group_law_words)
+    monkeypatch.setattr(verification, "group_law_words", planted)
+    assert failing_relation_family() == RELATIONS | SIGMA_RELATIONS | HOMOMORPHISMS
+    assert failing_relation_family(0.3, 0.0) == set()
+
+
 def test_flipped_delta_in_orbit_gram_fails_the_gram_suite(capsys, monkeypatch):
     # with Delta flipped the orbit Gram has two positive eigenvalues: a failed
     # check (exit 1), not an internal error from the embedding round trip
@@ -198,11 +259,7 @@ def test_flipped_delta_fails_the_words_amap_kernel_addition_and_limits(monkeypat
     # Delta negated where the operators and every Gram read it; while the packed
     # Gram stated Delta apart, this defect there failed none of the 27 checks
     monkeypatch.setattr(kernelspace, "_power_and_delta", power_and_delta_with(operator.neg))
-    model = make_representation(0.5, 0.3)
-    checks = run_suite(model, "all", np.random.default_rng(7), geometric_schedule())
-    assert len(checks) == 27
-    failed = {c["name"] for c in checks if not c["pass"]}
-    assert failed == RELATIONS | SIGMA_RELATIONS | HOMOMORPHISMS | {
+    assert failing_verdict() == RELATIONS | SIGMA_RELATIONS | HOMOMORPHISMS | {
         "amap_unitary",
         "cartan_limit_extrapolated",
         "cartan_limit_raw",

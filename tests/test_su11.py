@@ -242,9 +242,10 @@ def test_displacement_doubles_under_phi():
 # ---------------------------------------------------------------------------
 # the verdict's relation words, evaluated in the group
 #
-# `relation_words` gives the (lhs, rhs) atom words that `relation_checks` and
-# `sigma_relation_checks` compare; here each atom maps to the group element
-# it represents, and each word to the left-to-right product of its atoms.
+# `relation_words` gives the (lhs, rhs, n) atom words and phases that
+# `relation_checks` and `sigma_relation_checks` compare; here each atom maps
+# to the group element it represents, and each word to the left-to-right
+# product of its atoms.  The group does not see the phase e^{inr}.
 
 def element(word, unip=lambda b: g(1, b)) -> SU11Element:
     images = {"unip": unip, "sigma": s_element, "diag": lambda lam: g(lam, 0)}
@@ -266,41 +267,42 @@ def test_empty_word_is_identity():
     assert element(()) == SU11Element.identity()
     # u(a) u(-a) = u(0): the u(0) atom is the identity too
     pairs = relation_words()["relation_u_additive"]
-    zero_sums = [(lhs, rhs) for lhs, rhs in pairs if rhs == (("unip", 0),)]
+    zero_sums = [(lhs, rhs) for lhs, rhs, _ in pairs if rhs == (("unip", 0),)]
     assert len(zero_sums) == 6
     assert all(element(lhs) == element(rhs) == SU11Element.identity() for lhs, rhs in zero_sums)
 
 
 def test_w_squared_equals_s_minus_one():
-    [(lhs, rhs)] = relation_words()["relation_w_squared"]
+    [(lhs, rhs, _)] = relation_words()["relation_w_squared"]
     assert element(lhs) == element(rhs) == s_element() * s_element()
 
 
 def test_s_conjugation_relation():
     pairs = relation_words()["relation_s_u_conjugation"]
     assert len(pairs) == 49
-    assert all(element(lhs) == element(rhs) for lhs, rhs in pairs)
+    assert all(element(lhs) == element(rhs) for lhs, rhs, _ in pairs)
 
 
 def test_s_word_lands_on_diagonal():
     # s(b) = g(b, 0) and s(-b) = -g(b, 0): equal up to the centre, which the
     # projective comparison does not see
     words = relation_words()
-    assert all(element(lhs) == element(rhs) for lhs, rhs in words["sigma_relation_eps_plus"])
-    assert all(element(lhs) == element(rhs).neg() for lhs, rhs in words["sigma_relation_eps_minus"])
+    assert all(element(lhs) == element(rhs) for lhs, rhs, _ in words["sigma_relation_eps_plus"])
+    minus = words["sigma_relation_eps_minus"]
+    assert all(element(lhs) == element(rhs).neg() for lhs, rhs, _ in minus)
 
 
 def test_presentation_check_canonical():
     words = relation_words()
     assert sorted(k for k in words if k.startswith("relation_")) == PRESENTATION
-    assert all(element(lhs) == element(rhs) for k in PRESENTATION for lhs, rhs in words[k])
+    assert all(element(lhs) == element(rhs) for k in PRESENTATION for lhs, rhs, _ in words[k])
 
 
 def test_presentation_check_under_phi():
     worst = max(
         float(np.max(np.abs(phi_to_so12(element(lhs)) - phi_to_so12(element(rhs)))))
         for pairs in relation_words().values()
-        for lhs, rhs in pairs
+        for lhs, rhs, _ in pairs
     )
     assert worst < 1e-9
 
@@ -310,7 +312,7 @@ def test_presentation_check_negative_control():
     unip = lambda b: g(1, Fraction(101, 100) if b == 1 else b)
     worst = max(
         matrix_deviation(element(lhs, unip), element(rhs, unip))
-        for lhs, rhs in relation_words()["relation_u_additive"]
+        for lhs, rhs, _ in relation_words()["relation_u_additive"]
     )
     assert worst > 1e-3
 
