@@ -12,9 +12,11 @@ isometries of the `kernelspace` form:
     sigma:      eta1 <-> eta2,  C(b) -> k*(b) C(-1/b)
 
 where k*(b) = ctx.block_k(b) = -conj(K(b)) and <.,.> is the kernelspace
-pairing.  The atoms build new C-parameters (lam^2 b, b + d, -1/b) from
-integer pairs as `kernelspace._Param`s, which carry their floats, and chain
-on plain coefficient dicts; `apply` wraps one FormalVector at the end.
+pairing.  A C-symbol is ("c", n, d), its parameter n/d in lowest terms
+with d > 0.  The atoms build the new parameters (lam^2 b, b + d, -1/b) as
+integer pairs that `kernelspace.c_symbol` reduces, read each parameter's
+float as n / d, and chain on plain coefficient dicts; `apply` wraps one
+FormalVector at the end, which drops the zero coefficients.
 An operator's atom tuple is a word, read left to right as a product, so
 `verification` states each word identity it checks as two atom tuples.
 Arbitrary group elements evaluate through the P | PsP factorization;
@@ -47,7 +49,7 @@ from .kernelspace import (
     ETA2,
     FormalVector,
     KernelContext,
-    _Param,
+    c_symbol,
     cvec,
     eta1,
     eta2,
@@ -86,7 +88,7 @@ class RepModel:
         return self.ctx.t
 
 
-Atom = tuple  # ("diag", Fraction) | ("unip", _Param) | ("sigma",)
+Atom = tuple  # ("diag", Fraction) | ("unip", Fraction) | ("sigma",)
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,7 @@ def op_diag(model: RepModel, lam) -> RepOperator:
 
 def unip_atom(b) -> Atom:
     """The atom unip(b) of a rational b."""
-    b = _frac(b)
-    return ("unip", _Param(b.numerator, b.denominator))
+    return ("unip", _frac(b))
 
 
 def op_unipotent(model: RepModel, b) -> RepOperator:
@@ -128,21 +129,22 @@ def _apply_diag(ctx: KernelContext, lam: Fraction, coeffs: Mapping) -> dict:
         elif s == ETA2:
             out[ETA2] = out.get(ETA2, 0.0) + c / lam_t
         else:
-            sym = ("c", _Param(ln2 * s[1]._numerator, ld2 * s[1]._denominator))
+            sym = c_symbol(ln2 * s[1], ld2 * s[2])
             out[sym] = out.get(sym, 0.0) + c / lam_t
     return out
 
 
-def _add_c(out: dict, b: _Param, coeff: complex) -> None:
-    if coeff != 0 and b._numerator:  # C(0) is the zero vector
-        sym = ("c", b)
+def _add_c(out: dict, sym: tuple, coeff: complex) -> None:
+    if coeff != 0 and sym[1]:  # C(0) is the zero vector
         out[sym] = out.get(sym, 0.0) + coeff
 
 
-def _apply_unip(ctx: KernelContext, b: _Param, coeffs: Mapping) -> Mapping:
-    if not b._numerator:
+def _apply_unip(ctx: KernelContext, b: Fraction, coeffs: Mapping) -> Mapping:
+    if not b:
         return coeffs
-    kb, bn, bd = ctx.block_k(b.x), b._numerator, b._denominator
+    bn, bd = b.numerator, b.denominator
+    bx, bsym = bn / bd, ("c", bn, bd)
+    kb = ctx.block_k(bx)
     out: dict = {}
     for s, c in coeffs.items():
         if s == ETA1:
@@ -150,12 +152,12 @@ def _apply_unip(ctx: KernelContext, b: _Param, coeffs: Mapping) -> Mapping:
         elif s == ETA2:
             out[ETA1] = out.get(ETA1, 0.0) + c * kb
             out[ETA2] = out.get(ETA2, 0.0) + c
-            _add_c(out, b, c)
+            _add_c(out, bsym, c)
         else:
-            d = s[1]
-            out[ETA1] = out.get(ETA1, 0.0) + c * ctx.c_pair(d.x, -b.x)
-            _add_c(out, _Param(bn * d._denominator + d._numerator * bd, bd * d._denominator), c)
-            _add_c(out, b, -c)
+            dn, dd = s[1], s[2]
+            out[ETA1] = out.get(ETA1, 0.0) + c * ctx.c_pair(dn / dd, -bx)
+            _add_c(out, c_symbol(bn * dd + dn * bd, bd * dd), c)
+            _add_c(out, bsym, -c)
     return out
 
 
@@ -167,8 +169,7 @@ def _apply_sigma(ctx: KernelContext, coeffs: Mapping) -> dict:
         elif s == ETA2:
             out[ETA1] = out.get(ETA1, 0.0) + c
         else:
-            b = s[1]
-            _add_c(out, _Param(-b._denominator, b._numerator), c * ctx.block_k(b.x))
+            _add_c(out, c_symbol(-s[2], s[1]), c * ctx.block_k(s[1] / s[2]))
     return out
 
 
@@ -184,7 +185,6 @@ def apply(op: RepOperator, v: FormalVector) -> FormalVector:
             coeffs = _apply_unip(ctx, atom[1], coeffs)
         else:
             coeffs = _apply_sigma(ctx, coeffs)
-        coeffs = {s: c for s, c in coeffs.items() if c != 0}
     return FormalVector(ctx, coeffs)
 
 
@@ -201,8 +201,7 @@ def evaluate(model: RepModel, m: SU11Element) -> RepOperator:
     maps to diag(lam) unip(b/lam) sigma unip(d).  Well-defined on +/- m.
     """
     f = bruhat_factor(m)
-    lam, b = f.lam, f.b
-    atoms = (("diag", lam), ("unip", _Param(b.numerator * lam.denominator, b.denominator * lam.numerator)))
+    atoms = (("diag", f.lam), ("unip", f.b / f.lam))
     if isinstance(f, ParabolicCoords):
         return RepOperator(model, atoms)
     return RepOperator(model, atoms + (("sigma",), unip_atom(f.d)))

@@ -19,9 +19,10 @@ invariant, is the matrix coefficient of the `blockrep` operators (`block_k`).
 C-parameters are exact rationals; symbols compare exactly, never by float
 proximity.  This keeps operator pipelines decidable: |b - d|^t is wildly
 non-Lipschitz at b = d, so nearby-but-distinct parameters must never be
-merged.  Every C-symbol is ("c", _Param), built by `csym` or a `blockrep`
-atom from a reduced integer pair; it hashes as its Fraction does and
-carries its float (`x`), which the kernel reads instead of converting.
+merged.  Every C-symbol is the plain tuple ("c", n, d) of its parameter
+n/d in lowest terms with d > 0, built by `csym` or, from an integer pair,
+by `c_symbol`, which the `blockrep` atoms call.  Equal rationals give equal
+keys, which Python hashes and compares in C; the kernel reads the float n / d.
 
 `pairing` pairs two vectors; `pairing_matrix` pairs two families of
 vectors at once and is what every Gram uses.  It packs each family slot by
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -138,36 +138,20 @@ ETA1 = ("eta1",)
 ETA2 = ("eta2",)
 
 
-class _Param(Fraction):
-    """An exact C-parameter that hashes once and carries its float.
-
-    C-symbols are dict keys, looked up many times per operator atom, and
-    `Fraction.__hash__` costs a modular inverse each time.  `_Param(n, d)`
-    reduces the integer pair itself (d != 0) and stores the hash and `x`,
-    the correctly rounded n/d.  Equality and the hash value are those of the
-    plain Fraction, and arithmetic on a parameter returns a plain Fraction.
-    """
-
-    __slots__ = ("_hash", "x")
-
-    def __new__(cls, n: int, d: int):
-        g = math.gcd(n, d)
-        self = object.__new__(cls)
-        self._numerator, self._denominator = (n // g, d // g) if d > 0 else (-n // g, -d // g)
-        self._hash = Fraction.__hash__(self)
-        self.x = self._numerator / self._denominator
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
+def c_symbol(n: int, d: int) -> tuple:
+    """The C-symbol ("c", n/g, d/g) of the rational n/d (d != 0), with g
+    the gcd of n and d signed as d, so that the denominator is positive."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return ("c", n // g, d // g)
 
 
 def csym(b) -> tuple:
     b = _frac(b)
-    b = _Param(b.numerator, b.denominator)
-    if not b._numerator:
+    if not b:
         raise ValidationError("C(0) is the zero vector, not a symbol")
-    return ("c", b)
+    return ("c", b.numerator, b.denominator)
 
 
 Symbol = tuple
@@ -212,7 +196,7 @@ def pairing(u: FormalVector, v: FormalVector) -> complex:
         for s2, c2 in v.coeffs.items():
             if s1[0] == "c":
                 if s2[0] == "c":
-                    total += c1 * c2.conjugate() * u.ctx.c_pair(s1[1].x, s2[1].x)
+                    total += c1 * c2.conjugate() * u.ctx.c_pair(s1[1] / s1[2], s2[1] / s2[2])
             elif s2[0] != "c" and s1 != s2:  # <eta1,eta2> = 1, isotropic diagonals
                 total += c1 * c2.conjugate()
     return complex(total)
@@ -226,8 +210,8 @@ def _pack(vecs: Sequence[FormalVector]) -> tuple[np.ndarray, np.ndarray, np.ndar
     C-coefficients (N, s) of a family, s its largest C-symbol count, and
     each vector's C-symbol count.
 
-    Each coefficient sits next to the float its own exact parameter carries
-    (`_Param.x`); padding slots hold x = 1 with coefficient 0, so they add
+    Each coefficient sits next to the float n / d of its own symbol
+    ("c", n, d); padding slots hold x = 1 with coefficient 0, so they add
     nothing.
     """
     counts = [len(v.coeffs) - (ETA1 in v.coeffs) - (ETA2 in v.coeffs) for v in vecs]
@@ -237,7 +221,7 @@ def _pack(vecs: Sequence[FormalVector]) -> tuple[np.ndarray, np.ndarray, np.ndar
         k = i * slots
         for s, c in v.coeffs.items():
             if s[0] == "c":
-                xs[k], cs[k] = s[1].x, c
+                xs[k], cs[k] = s[1] / s[2], c
                 k += 1
     eta = [(v.coeffs.get(ETA1, 0j), v.coeffs.get(ETA2, 0j)) for v in vecs]
     return (

@@ -77,6 +77,13 @@ def test_diagonal_form_signature_still_validated():
             HermitianFormSpace("complex", np.diag(diag))
 
 
+def test_diagonal_form_self_adjointness_still_validated():
+    # a diagonal form is checked on its diagonal alone, against the dense band
+    with pytest.raises(ValidationError, match="self-adjoint"):
+        HermitianFormSpace("complex", np.diag([1.0, -1.0 + 1e-6j, -1.0]))
+    HermitianFormSpace("complex", np.diag([1.0, -1.0 + 1e-14j, -1.0]))
+
+
 def test_non_diagonal_form_still_accepted_and_pairs_by_the_matrix():
     so12 = HermitianFormSpace("real", su11.SO12_FORM)
     rng = np.random.default_rng(12)

@@ -1,5 +1,4 @@
 import math
-import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horocomb import hypgeo, kernelspace, su11
-from horocomb.blockrep import orbit_gram
+from horocomb.blockrep import RepModel, apply, op_diag, op_sigma, op_unipotent, orbit_gram
 from horocomb.combination import make_representation
 from horocomb.errors import ReconstructionError, UsageError, ValidationError
 from horocomb.kernelspace import (
@@ -327,41 +326,55 @@ def test_pairing_matrix_keeps_nearby_symbols_apart():
     assert mat[0, 1] != mat[0, 0]
 
 
-@pytest.mark.parametrize(
-    "b", [1, -2, 0.5, 1.0 + 1e-15, Fraction(1, 3), Fraction(-7, 2**16), Fraction(1, 3) + Fraction(1, 10**15)]
-)
-def test_csym_is_a_plain_fraction_key(b):
-    key, plain = csym(b), ("c", Fraction(b))
-    assert key == plain and hash(key) == hash(plain)
-    assert {plain: 1}[key] == 1 and {key: 2}[plain] == 2
-    x = key[1]
-    for value, want in [(x + x, 2 * Fraction(b)), (-x, -Fraction(b)), (1 / x, 1 / Fraction(b)), (x * x, Fraction(b) ** 2)]:
-        assert type(value) is Fraction and value == want
+def assert_c_key(key, b):
+    """key is C(b): ("c", n, d) in lowest terms with d > 0, read as the float of b."""
+    _, n, d = key
+    assert key == ("c", b.numerator, b.denominator)
+    assert math.gcd(n, d) == 1 and d > 0 and n / d == float(Fraction(n, d))
 
 
 @settings(deadline=None)
 @given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40).filter(bool))
 @example(0, -7)
 @example(6, -4)
-@example(-3, 2**61 - 1)  # a denominator divisible by the hash modulus: Fraction hashes it as -inf
+@example(-3, 2**61 - 1)  # a denominator divisible by the hash modulus 2**61 - 1
 @example(2**200 + 1, 2**150)
-def test_param_from_integers_is_the_fraction(n, d):
-    # _Param(n, d) sets the stdlib's private _numerator and _denominator itself
-    p, f = kernelspace._Param(n, d), Fraction(n, d)
-    assert (p.numerator, p.denominator) == (f.numerator, f.denominator)
-    assert p == f and hash(p) == hash(f) and hash(("c", p)) == hash(("c", f))
-    assert p.x == float(f) and type(p.x) is float
-    for value, want in [(p + p, 2 * f), (p - f, 0), (-p, -f), (abs(p), abs(f)), (p**2, f * f)]:
-        assert type(value) is Fraction and value == want
-    back = pickle.loads(pickle.dumps(p))
-    assert type(back) is kernelspace._Param and back == f and back.x == p.x
+@example(1, 1)
+@example(-2, 1)
+@example(1, 2)
+@example(*(1.0 + 1e-15).as_integer_ratio())
+@example(1, 3)
+@example(-7, 2**16)
+@example(10**15 + 3, 3 * 10**15)
+def test_c_symbols_are_reduced_integer_pairs(n, d):
+    # csym, the reducer and the three atoms key C(b) by b in lowest terms,
+    # so that equal rationals give equal keys
+    b = Fraction(n, d)
+    for k in (1, -1, 6):
+        assert_c_key(kernelspace.c_symbol(k * n, k * d), b)
+    if not b:
+        with pytest.raises(ValidationError):
+            csym(b)
+        return
+    assert_c_key(csym(b), b)
+    model = RepModel(ctx_for(0.5, 0.3))
+    for op, want in [
+        (op_diag(model, 1 / abs(b)), [1 / b]),
+        (op_sigma(model), [-1 / b]),
+        (op_unipotent(model, b), [2 * b, b]),
+    ]:
+        keys = [s for s in apply(op, cvec(model.ctx, b)).coeffs if s[0] == "c"]
+        assert len(keys) == len(want)
+        for key, w in zip(keys, want):
+            assert_c_key(key, w)
 
 
 @pytest.mark.parametrize("b, d", [(1.0, 1.0 + 1e-15), (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**15))])
 def test_csym_keeps_nearby_parameters_apart(b, d):
     keys = {csym(b): 1, csym(d): 2}
     assert len(keys) == 2
-    assert keys[("c", Fraction(b))] == 1 and keys[("c", Fraction(d))] == 2
+    assert keys[("c", *Fraction(b).as_integer_ratio())] == 1
+    assert keys[("c", *Fraction(d).as_integer_ratio())] == 2
 
 
 def test_phase_corrected_gram_is_exactly_hermitian_with_unit_diagonal():
