@@ -333,6 +333,33 @@ def assert_c_key(key, b):
     assert math.gcd(n, d) == 1 and d > 0 and n / d == float(Fraction(n, d))
 
 
+@pytest.mark.parametrize(
+    "b", [1, -2, 0.5, 1.0 + 1e-15, Fraction(1, 3), Fraction(-7, 2**16), Fraction(1, 3) + Fraction(1, 10**15)]
+)
+def test_csym_is_a_plain_fraction_key(b):
+    key, plain = csym(b), ("c", *Fraction(b).as_integer_ratio())
+    assert key == plain and hash(key) == hash(plain)
+    assert {plain: 1}[key] == 1 and {key: 2}[plain] == 2
+    _, n, d = key
+    assert type(n) is int and type(d) is int
+    assert Fraction(n, d) == Fraction(b) and n / d == float(Fraction(b))
+
+
+@settings(deadline=None)
+@given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40).filter(bool))
+@example(0, -7)
+@example(6, -4)
+@example(-3, 2**61 - 1)  # a denominator divisible by the hash modulus 2**61 - 1
+@example(2**200 + 1, 2**150)
+def test_param_from_integers_is_the_fraction(n, d):
+    # c_symbol(n, d) is C(n/d) in lowest terms, whichever multiple of the pair it is given
+    f = Fraction(n, d)
+    for k in (1, -1, 6):
+        key = kernelspace.c_symbol(k * n, k * d)
+        assert_c_key(key, f)
+        assert hash(key) == hash(("c", f.numerator, f.denominator))
+
+
 @settings(deadline=None)
 @given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40).filter(bool))
 @example(0, -7)
@@ -347,11 +374,9 @@ def assert_c_key(key, b):
 @example(-7, 2**16)
 @example(10**15 + 3, 3 * 10**15)
 def test_c_symbols_are_reduced_integer_pairs(n, d):
-    # csym, the reducer and the three atoms key C(b) by b in lowest terms,
+    # csym and the three atoms key C(b) by b in lowest terms,
     # so that equal rationals give equal keys
     b = Fraction(n, d)
-    for k in (1, -1, 6):
-        assert_c_key(kernelspace.c_symbol(k * n, k * d), b)
     if not b:
         with pytest.raises(ValidationError):
             csym(b)
