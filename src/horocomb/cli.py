@@ -83,15 +83,15 @@ def _parse_rational_pair(text: str, flag: str) -> tuple[Fraction, Fraction]:
 
 
 def _element_from_args(args) -> SU11Element:
-    """The element of --lam [--b] or --alpha [--beta], each entry at most the largest float."""
-    if args.lam is not None:
+    """The element of --lam [--b] or --alpha [--beta], not a mix, each entry at most the largest float."""
+    if args.lam is not None and args.alpha is None and args.beta is None:
         b = _rational(args.b, "--b") if args.b is not None else Fraction(0)
         el = su11.g(_rational(args.lam, "--lam"), b)
-    elif args.alpha is not None:
+    elif args.alpha is not None and args.lam is None and args.b is None:
         alpha = _parse_rational_pair(args.alpha, "--alpha")
         el = SU11Element(*alpha, *_parse_rational_pair(args.beta or "0,0", "--beta"))
     else:
-        raise ValidationError("give either --lam [--b] or --alpha [--beta]")
+        raise ValidationError("give either --lam [--b] or --alpha [--beta], not a mix of the two")
     if max(abs(el.a_re), abs(el.a_im), abs(el.b_re), abs(el.b_im)) > sys.float_info.max:
         raise ValidationError("the element's entries exceed the largest float")
     return el
@@ -101,18 +101,17 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
+def _model_and_head(args, command: str):
+    """The (t, r) model of the arguments and its report head {command, t, r}."""
+    model = make_representation(args.t, args.r)
+    return model, {"command": command, "t": model.t, "r": model_arg(model)}
+
+
 def cmd_classify(args) -> int:
     el = _element_from_args(args)
     factors = bruhat_factor(el)
-    if isinstance(factors, su11.ParabolicCoords):
-        fac = {"kind": "P", "lam": str(factors.lam), "b": str(factors.b)}
-    else:
-        fac = {
-            "kind": "PsP",
-            "lam": str(factors.lam),
-            "b": str(factors.b),
-            "d": str(factors.d),
-        }
+    fac = {k: str(v) for k, v in vars(factors).items()}
+    fac["kind"] = "P" if isinstance(factors, su11.ParabolicCoords) else "PsP"
     _emit_json(
         {
             "command": "classify",
@@ -128,7 +127,7 @@ def cmd_classify(args) -> int:
 
 def cmd_maps(args) -> int:
     el = _element_from_args(args)
-    # the images' entries and their sums stay below 3 (|alpha|^2 + |beta|^2)
+    # each psi and phi entry, and each quotient formed for one, is at most 2 (|alpha|^2 + |beta|^2)
     if 3 * (el.a_re**2 + el.a_im**2 + el.b_re**2 + el.b_im**2) > sys.float_info.max:
         raise ValidationError("maps needs 3 (|alpha|^2 + |beta|^2) within the largest float")
     rng = np.random.default_rng(args.seed)
@@ -153,12 +152,10 @@ def cmd_maps(args) -> int:
 
 
 def cmd_model_build(args) -> int:
-    model = make_representation(args.t, args.r)
+    model, head = _model_and_head(args, "model build")
     _emit_json(
         {
-            "command": "model build",
-            "t": model.t,
-            "r": model_arg(model),
+            **head,
             "k1": _complex_json(model.ctx.k1),
             "verdict": "constructible",  # make_representation refuses any other
         }
@@ -167,16 +164,14 @@ def cmd_model_build(args) -> int:
 
 
 def cmd_model_verify(args) -> int:
-    model = make_representation(args.t, args.r)
+    model, head = _model_and_head(args, "model verify")
     rng = np.random.default_rng(args.seed)
     schedule = geometric_schedule(args.b_start, args.b_ratio, args.steps)
     checks = _scaled(run_suite(model, args.suite, rng, schedule))
     ok = all(c["pass"] for c in checks)
     _emit_json(
         {
-            "command": "model verify",
-            "t": model.t,
-            "r": model_arg(model),
+            **head,
             "suite": args.suite,
             "seed": args.seed,
             "checks": checks,
@@ -211,16 +206,14 @@ def cmd_combine(args) -> int:
 
 
 def cmd_cartan_limit(args) -> int:
-    model = make_representation(args.t, args.r)
+    model, head = _model_and_head(args, "cartan-limit")
     schedule = geometric_schedule(args.b_start, args.b_ratio, args.steps)
     est = cartan_limit_estimate(model, schedule)
     if args.format == "json":
         _emit_json(
             {
-                "command": "cartan-limit",
-                "t": model.t,
-                "r": model_arg(model),
-                "target": -model_arg(model),
+                **head,
+                "target": -head["r"],
                 "points": [
                     {"b": b, "cartan": v, "extrapolated": e}
                     for (b, v), e in zip(est.points, est.running)
@@ -237,15 +230,13 @@ def cmd_cartan_limit(args) -> int:
 
 
 def cmd_gns_check(args) -> int:
-    model = make_representation(args.t, args.r)
+    model, head = _model_and_head(args, "gns-check")
     eigs = orbit_spectrum(model, np.random.default_rng(args.seed), args.sample)[1]
     sig = eigenvalue_signature(eigs)
     ok = sig[0] == 1
     _emit_json(
         {
-            "command": "gns-check",
-            "t": model.t,
-            "r": model_arg(model),
+            **head,
             "sample": args.sample,
             "seed": args.seed,
             "eigenvalues": [float(x) for x in eigs],
@@ -286,6 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", help="alpha as 're,im' rationals")
         p.add_argument("--beta", help="beta as 're,im' rationals")
 
+    def add_model_args(p):
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--r", type=float, required=True)
+
+    def add_schedule_args(p):
+        p.add_argument("--b-start", type=float, default=1.0)
+        p.add_argument("--b-ratio", type=float, default=10.0)
+        p.add_argument("--steps", type=_int_at_least(2), default=9)
+
     p = sub.add_parser("classify", help="type/displacement/factorization of an element")
     add_element_args(p)
     p.set_defaults(func="cmd_classify")
@@ -300,18 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     msub = model.add_subparsers(dest="model_command", required=True)
 
     p = msub.add_parser("build")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
+    add_model_args(p)
     p.set_defaults(func="cmd_model_build")
 
     p = msub.add_parser("verify")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
+    add_model_args(p)
     p.add_argument("--suite", choices=["relations", "gram", "kernel", "limits", "all"], default="all")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--b-start", type=float, default=1.0)
-    p.add_argument("--b-ratio", type=float, default=10.0)
-    p.add_argument("--steps", type=_int_at_least(2), default=9)
+    add_schedule_args(p)
     p.set_defaults(func="cmd_model_verify")
 
     p = sub.add_parser("combine", help="horospherical combination at fixed t")
@@ -322,17 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func="cmd_combine")
 
     p = sub.add_parser("cartan-limit", help="angle sequence along a b-schedule")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--b-start", type=float, default=1.0)
-    p.add_argument("--b-ratio", type=float, default=10.0)
-    p.add_argument("--steps", type=_int_at_least(2), default=9)
+    add_model_args(p)
+    add_schedule_args(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func="cmd_cartan_limit")
 
     p = sub.add_parser("gns-check", help="orbit Gram eigenvalues and signature")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
+    add_model_args(p)
     p.add_argument("--sample", type=_int_at_least(3), default=8)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func="cmd_gns_check")

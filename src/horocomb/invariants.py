@@ -11,8 +11,8 @@ triple (rho(1,b) x, rho(1,-b) x, x) converges, as b grows, to minus the
 invariant, with error O(b^-t); a Richardson step with exponent t/2 (a safe
 under-estimate of the true rate) accelerates the tail.  The analogous
 finite-dimensional limit on the complex hyperbolic line is -pi/2, with
-deviation ~ 3/b, and the ratio of the two sequences recovers the invariant
-as a slope against pi/2.
+deviation ~ 3/b: its angle is the closed form atan(b) - 2 atan(b/2).  The
+ratio of the two sequences recovers the invariant as a slope against pi/2.
 """
 
 from __future__ import annotations
@@ -23,14 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import su11
 from .blockrep import RepModel, model_cartan, op_unipotent
 from .errors import ValidationError
-from .hypgeo import HermitianFormSpace, triple_product
-
-_ISOTROPIC_LINE = HermitianFormSpace("complex", [[0, 1], [1, 0]])  # basis xi1, xi2
 
 
 def model_arg(model) -> float:
@@ -90,19 +85,14 @@ def finite_cartan_at(b: float) -> float:
     """The same angle for the tautological action on the complex hyperbolic
     line, at the basepoint [xi1 + xi2]; tends to -pi/2 as b grows.
 
-    Computed from raw lifts in the isotropic basis, where the unipotent
-    is [[1, ib], [0, 1]] and [xi1 + xi2] lifts to (1, 1); the lifts skip
-    point validation, so this stays stable for b far beyond its reach.
-    The b-lifts are scaled by 2^-e, e >= 0, which takes |b| below 1 exactly,
-    so the product stays finite and the angle is bitwise unchanged.
+    In the isotropic basis the unipotent is [[1, ib], [0, 1]] and the
+    triple product is 2 (1 + ib)(2 - ib)^2 = 8 + 6b^2 - 2ib^3, whose
+    argument is atan(b) - 2 atan(b/2): in (-pi, pi), odd, and finite for
+    every float.  Its error is absolute, about one ulp of pi; near b = 0, where
+    the angle is about -b^3/4, that is not a relative bound.
     """
     b = float(b)
-    scale = math.ldexp(1.0, -max(0, math.frexp(b)[1]))
-    w = np.array([1.0, 1.0], dtype=complex)
-    wp = np.array([1.0 + 1.0j * b, 1.0]) * scale
-    wm = np.array([1.0 - 1.0j * b, 1.0]) * scale
-    prod = triple_product(_ISOTROPIC_LINE.pair, wp, wm, w)
-    return math.atan2(prod.imag, prod.real)
+    return math.atan(b) - 2.0 * math.atan(b / 2.0)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ rounded inputs are accepted inside that band, and the determinant of their
 products moves away from 1 with each factor, so a long product must not
 skip the check.
 
-Also provided: the isomorphism to SL2(R) (via its standard images on the
-upper-triangular subgroup and the rotation w), the double cover onto
-SO(1,2) and translation lengths.  `verification` checks the relations of
-the group presentation by unipotents u(r) and the element w as words of
-operator atoms.
+Also provided, in closed form on the same integers: the isomorphism psi to
+SL2(R), whose entries are the xi-basis entries up to factors i, and the
+double cover onto SO(1,2), the symmetric square of psi; and translation
+lengths.  `verification` checks the relations of the group presentation by
+unipotents u(r) and the element w as words of operator atoms.
 """
 
 from __future__ import annotations
@@ -198,21 +198,26 @@ class PsPFactors:
     d: Fraction
 
 
+def _psi_ints(m: SU11Element) -> tuple[int, int, int, int]:
+    """psi(m) = [[a, b], [c, d]] times m's denominator, as exact integers."""
+    ar, ai, br, bi = m._num
+    return ar + br, ai - bi, -(ai + bi), ar - br
+
+
 def bruhat_factor(m: SU11Element) -> ParabolicCoords | PsPFactors:
     """Factor any element through the decomposition SU(1,1) = P | PsP.
 
-    In the isotropic basis g(lam,b) = [[lam, i b], [0, 1/lam]] and g(lam,b) s
-    g(1,d) = [[-b, i(lam - b d)], [i/lam, -d/lam]], so the exact lower-left entry
-    decides the branch.  Signs make lambda > 0; the result reconstructs +/- m exactly.
+    psi(g(lam,b)) = [[lam, b], [0, 1/lam]] and psi(g(lam,b) s g(1,d)) =
+    [[-b, lam - b d], [-1/lam, -d/lam]], so the exact lower-left entry of
+    psi(m) decides the branch.  Signs make lambda > 0; the result
+    reconstructs +/- m exactly.
     """
-    ar, ai, br, bi = m._num
-    r = ai + bi  # the xi-basis entries times the denominator
-    if r == 0:
-        sign = 1 if ar + br > 0 else -1
-        lam, b = Fraction(sign * (ar + br), m._den), Fraction(sign * (ai - bi), m._den)
-        return ParabolicCoords(lam, b)
-    sign = 1 if r > 0 else -1
-    return PsPFactors(Fraction(m._den, sign * r), Fraction(-sign * (ar + br), m._den), Fraction(br - ar, r))
+    a, b, c, d = _psi_ints(m)
+    if c == 0:
+        sign = 1 if a > 0 else -1
+        return ParabolicCoords(Fraction(sign * a, m._den), Fraction(sign * b, m._den))
+    sign = 1 if c < 0 else -1
+    return PsPFactors(Fraction(m._den, -sign * c), Fraction(-sign * a, m._den), Fraction(d, c))
 
 
 def reconstruct(f: ParabolicCoords | PsPFactors) -> SU11Element:
@@ -224,46 +229,12 @@ def reconstruct(f: ParabolicCoords | PsPFactors) -> SU11Element:
 # ---------------------------------------------------------------------------
 # classical maps
 
-_T_SL2 = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
-
-
 def psi_to_sl2(m: SU11Element) -> np.ndarray:
     """Isomorphism onto SL2(R) with psi(g(lam,b)) = [[lam, b], [0, 1/lam]]
-    and psi(s) = [[0, 1], [-1, 0]]."""
-    a, b = m.alpha, m.beta
-    raw = np.array(
-        [
-            [a.real + b.imag, b.real + a.imag],
-            [b.real - a.imag, a.real - b.imag],
-        ]
-    )
-    return _T_SL2.T @ raw @ _T_SL2
+    and psi(s) = [[0, 1], [-1, 0]]; each entry is correctly rounded."""
+    (a, b, c, d), den = _psi_ints(m), m._den
+    return np.array([[a / den, b / den], [c / den, d / den]])
 
-
-def phi_raw(m: SU11Element) -> np.ndarray:
-    """Degree-two real 3x3 representation, from the action H -> M H M* on
-    the trace-free part of the Hermitian 2x2 matrices."""
-    a, b = m.alpha, m.beta
-    a2, b2 = a * a, b * b
-    ab = a * b
-    cab = np.conj(a) * b
-    return np.array(
-        [
-            [(a2 - b2).real, (a2 + b2).imag, 2 * ab.imag],
-            [-(a2 - b2).imag, (a2 + b2).real, 2 * ab.real],
-            [2 * cab.imag, 2 * cab.real, abs(a) ** 2 + abs(b) ** 2],
-        ]
-    )
-
-
-_T_SO12 = np.array(
-    [
-        [0.0, 0.0, math.sqrt(2.0)],
-        [1.0, -1.0, 0.0],
-        [1.0, 1.0, 0.0],
-    ]
-) / math.sqrt(2.0)
-_T_SO12_INV = np.linalg.inv(_T_SO12)
 
 # form preserved by phi_to_so12 images: first two basis vectors isotropic
 # with pairing 1, third of square -1
@@ -271,12 +242,22 @@ SO12_FORM = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
 
 
 def phi_to_so12(m: SU11Element) -> np.ndarray:
-    """Double cover SU(1,1) -> SO(1,2) with kernel {+I, -I}.
+    """Double cover SU(1,1) -> SO(1,2) with kernel {+I, -I}: the symmetric
+    square of psi(m) = [[a, b], [c, d]] on the basis (x^2, y^2, -sqrt2 xy).
 
     Images preserve SO12_FORM; Phi(g(lam,0)) = diag(lam^2, lam^-2, 1) and
-    Phi(s) = [[0,1,0],[1,0,0],[0,0,-1]].
+    Phi(s) = [[0,1,0],[1,0,0],[0,0,-1]].  Each product of psi entries is
+    formed exactly and rounded once, before any factor sqrt2.
     """
-    return _T_SO12_INV @ phi_raw(m) @ _T_SO12
+    a, b, c, d = _psi_ints(m)
+    den2, r2 = m._den * m._den, math.sqrt(2.0)
+    return np.array(
+        [
+            [a * a / den2, b * b / den2, r2 * (-a * b / den2)],
+            [c * c / den2, d * d / den2, r2 * (-c * d / den2)],
+            [r2 * (-a * c / den2), r2 * (-b * d / den2), (a * d + b * c) / den2],
+        ]
+    )
 
 
 def classify_su11(m: SU11Element) -> str:

@@ -50,11 +50,11 @@ def test_classify_psp_element(capsys):
 
 
 def test_maps_checks_pass(capsys):
-    code, out, _ = run_cli(capsys, "maps", "--lam", "3/2", "--b", "1", "--sample", "30")
+    code, out, _ = run_cli(capsys, "maps", "--lam", "3/2", "--b", "1/3", "--sample", "30")
     assert code == 0
     rep = json.loads(out)
     assert all(c["pass"] for c in rep["checks"])
-    assert rep["psi"][0][0] == pytest.approx(1.5)
+    assert rep["psi"] == [[1.5, 1 / 3], [0.0, 2 / 3]]  # each entry correctly rounded
 
 
 def test_verify_kernel_suite(capsys):
@@ -204,6 +204,12 @@ TR = ["--t", "0.5", "--r", "0.3"]
         ["maps", "--lam", "1e-300", "--sample", "1"],
         ["cartan-limit", "--t", "1e-17", "--r", "0"],
         ["model", "verify", "--t", "1e-300", "--r", "0", "--suite", "limits"],
+        # a mix of the two element forms is refused, not half read
+        ["classify", "--alpha", "0,1", "--b", "5"],
+        ["classify", "--lam", "2", "--alpha", "0,1"],
+        ["classify", "--lam", "2", "--beta", "1,0"],
+        ["maps", "--alpha", "0,1", "--b", "5"],
+        ["maps", "--lam", "2", "--alpha", "0,1"],
     ],
 )
 def test_malformed_element_exits_2_with_json_error(capsys, argv):

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from horocomb.blockrep import RepModel, busemann_character_model, evaluate, model_cartan
@@ -90,13 +92,17 @@ def test_finite_cartan_cross_validated():
         gm = space.isometry(gel(1, -Fraction(b)).matrix())
         want = hypgeo.cartan_argument(gp @ y, gm @ y, y)
         assert finite_cartan_at(b) == pytest.approx(want, abs=1e-12)
-    # and against the closed form Arg(8 + 6b^2 - 2i b^3)
-    for b in (1.0, 10.0, 500.0):
-        want = math.atan2(-2 * b**3, 8 + 6 * b**2)
-        assert finite_cartan_at(b) == pytest.approx(want, abs=1e-12)
+    # and against the closed form Arg(8 + 6b^2 - 2i b^3) at 50 digits, on a
+    # log grid up to the largest floats; the error is absolute, about one ulp of pi
+    with mpmath.workdps(50):
+        for b in (1.0, 10.0, 500.0, *np.geomspace(1e-6, 1.7e308, 1000).tolist()):
+            for x in (b, -b):
+                want = mpmath.arg(mpmath.mpc(8 + 6 * mpmath.mpf(x) ** 2, -2 * mpmath.mpf(x) ** 3))
+                assert abs(finite_cartan_at(x) - want) <= 4.5e-16, x
+            assert finite_cartan_at(-b) == -finite_cartan_at(b)
 
 
-@pytest.mark.parametrize("b", [1e155, 1e300])
+@pytest.mark.parametrize("b", [1e155, 1e300, 1.7976931348623157e308, math.inf])
 def test_finite_cartan_at_does_not_overflow(b):
     # the unscaled triple product overflowed from b ~ 1.3e154 on: it read
     # -pi/4 there (atan2(-inf, inf)) and NaN at 1.7e308

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -144,6 +145,49 @@ def test_psi_displayed_images():
     )
     np.testing.assert_allclose(psi_to_sl2(s_element()), [[0, 1], [-1, 0]], atol=1e-14)
     np.testing.assert_allclose(psi_to_sl2(SU11Element.identity()), np.eye(2), atol=1e-15)
+
+
+def exact_psi(m: SU11Element) -> list[list[Fraction]]:
+    # T^T raw T with T = [[1, -1], [1, 1]] / sqrt2, the change to the
+    # isotropic basis, is rational: (1/2) [[1, 1], [-1, 1]] raw [[1, -1], [1, 1]]
+    ar, ai, br, bi = m.a_re, m.a_im, m.b_re, m.b_im
+    raw = [[ar + bi, br + ai], [br - ai, ar - bi]]
+    left = [[raw[0][0] + raw[1][0], raw[0][1] + raw[1][1]], [raw[1][0] - raw[0][0], raw[1][1] - raw[0][1]]]
+    return [[(row[0] + row[1]) / 2, (row[1] - row[0]) / 2] for row in left]
+
+
+def psi_phi_cases():
+    rng = np.random.default_rng(16)
+    return [s_element(), SU11Element.identity(), g(Fraction(3, 2), Fraction(1, 3))] + [
+        random_su11(rng) for _ in range(200)
+    ]
+
+
+def test_psi_entries_are_the_exact_entries_correctly_rounded():
+    for m in psi_phi_cases():
+        want = np.array([[float(x) for x in row] for row in exact_psi(m)])
+        assert psi_to_sl2(m).tobytes() == want.tobytes(), m
+
+
+def test_phi_is_the_symmetric_square_of_exact_psi():
+    # Phi = [[a^2, b^2, -sqrt2 ab], [c^2, d^2, -sqrt2 cd], [-sqrt2 ac, -sqrt2 bd, ad + bc]]
+    # for psi = [[a, b], [c, d]], here at 50 digits from the exact entries
+    def mp(x: Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    with mpmath.workdps(50):
+        r2 = mpmath.sqrt(2)
+        for m in psi_phi_cases():
+            (a, b), (c, d) = exact_psi(m)
+            want = [
+                [mp(a * a), mp(b * b), -r2 * mp(a * b)],
+                [mp(c * c), mp(d * d), -r2 * mp(c * d)],
+                [-r2 * mp(a * c), -r2 * mp(b * d), mp(a * d + b * c)],
+            ]
+            got = phi_to_so12(m)
+            bound = 2e-15 * max(1.0, float(np.max(np.abs(got))))
+            err = max(abs(got[i, j] - want[i][j]) for i in range(3) for j in range(3))
+            assert err <= bound, (m, float(err))
 
 
 def test_psi_determinant_and_homomorphism():
