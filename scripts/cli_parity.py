@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over the exit code, stdout and stderr of a fixed list
-of CLI runs, so that two trees can be compared byte for byte.
+of CLI runs, so that two trees can be compared byte for byte.  Stderr gets
+one `<sha256> <argv>` line per run, so that two trees' stderr can be
+diffed to name the runs whose bytes differ.
 
 The probes cover all seven subcommands: `model verify --suite all --seed 7`
 at four strata, `gns-check`, `cartan-limit` as CSV and as JSON (one of them
-the exit-1 run with `--steps 208`), `maps`, `combine`, `model verify --suite
-kernel` at seeds 0-5, `model verify --suite relations` at seeds 0-2, whose
-group-law pairs are drawn from the seed, `classify` on one element of P and
-two of PsP, `model build` at r = 0.3 and at r = -1e-20, which builds the
-r = 0 model, and `model verify --suite gram` at seeds 0-2, whose orbit Grams
-are embedded by `reconstruct_embedding`.  Each runs in this process through
-`horocomb.cli.main`, with HOROCOMB_TOLERANCE_SCALE removed from the
-environment.  Probes were added
-to the end of the list over time, so the digest differs from one taken with
-a shorter list.
+with `--steps 208`, whose schedule ends at b = 1e207), `maps`, `combine`,
+`model verify --suite kernel` at seeds 0-5, `model verify --suite relations`
+at seeds 0-2, whose group-law pairs are drawn from the seed, `classify` on
+one element of P and two of PsP, `model build` at r = 0.3 and at
+r = -1e-20, which builds the r = 0 model, and `model verify --suite gram` at
+seeds 0-2, whose orbit Grams are embedded by `reconstruct_embedding`.  Each
+runs in this process through `horocomb.cli.main`, with
+HOROCOMB_TOLERANCE_SCALE removed from the environment.  Probes were added to
+the end of the list over time, so the digest differs from one taken with a
+shorter list.
 
 Usage: PYTHONPATH=src python scripts/cli_parity.py
 """
@@ -23,6 +25,7 @@ import hashlib
 import io
 import math
 import os
+import sys
 
 from horocomb.cli import main
 
@@ -60,7 +63,9 @@ def main_() -> int:
     os.environ.pop("HOROCOMB_TOLERANCE_SCALE", None)
     digest = hashlib.sha256()
     for argv in PROBES:
-        digest.update(run(argv))
+        data = run(argv)
+        digest.update(data)
+        print(hashlib.sha256(data).hexdigest(), " ".join(argv), file=sys.stderr)
     print(digest.hexdigest())
     return 0
 

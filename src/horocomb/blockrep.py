@@ -280,7 +280,15 @@ def orbit_gram(model: RepModel, elements: Sequence[SU11Element]) -> np.ndarray:
     return phase_corrected_gram(z[:, :-1], z[:, -1])
 
 
+def _scaled_pairing(u: FormalVector, v: FormalVector) -> complex:
+    """pairing(u, v) times the power of two that puts its larger part in [0.5, 1), exactly."""
+    z = pairing(u, v)
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+
+
 def model_cartan(model: RepModel, a: RepOperator, b: RepOperator) -> float:
-    """Cart(a x, b x, x) at the basepoint x, from formal pairings."""
+    """Cart(a x, b x, x) at the basepoint x, from formal pairings scaled so that
+    their product keeps its phase and cannot overflow, unlike the unscaled one past ~1e102."""
     x = basepoint(model)
-    return cmath.phase(triple_product(pairing, apply(a, x), apply(b, x), x))
+    return cmath.phase(triple_product(_scaled_pairing, apply(a, x), apply(b, x), x))

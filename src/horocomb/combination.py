@@ -80,10 +80,7 @@ def combine_models(spec: CombinationSpec) -> RepModel:
         a1, a2 = model_arg(c1), model_arg(c2)
         target = (1.0 - spec.u) * a1 + spec.u * a2
         p, q = mix_weights_for_target(a1, a2, target)
-    k_sum = p * c1.k1 + q * c2.k1
-    if k_sum == 0:
-        raise RuntimeError("weighted kernel sum vanished; sign invariants violated")
-    return RepModel.from_context(KernelContext(c1.t, k_sum))
+    return RepModel.from_context(KernelContext(c1.t, p * c1.k1 + q * c2.k1))
 
 
 def endpoint_real(t: float) -> RepModel:

@@ -127,10 +127,12 @@ def cartan_limit_estimate(model: RepModel, b_schedule: Sequence) -> CartanLimit:
 
 
 def cartan_slope(model: RepModel, b_schedule: Sequence) -> float:
-    """Least-squares ratio of the model angles to the finite-dimensional
-    ones over the schedule; slope * pi/2 approximates the angular invariant."""
-    num = 0.0
-    den = 0.0
+    """Least-squares ratio of the model angles to the finite-dimensional ones;
+    slope * pi/2 approximates the angular invariant.  It is read asymptotically,
+    so the schedule must start at b >= 1: near 0 the finite angle is ~ -b^3/4."""
+    if b_schedule[0] < 1:
+        raise ValidationError(f"cartan_slope needs a schedule starting at b >= 1, got {float(b_schedule[0])!r}")
+    num = den = 0.0
     for b, cm in cartan_limit_estimate(model, b_schedule).points:
         cf = finite_cartan_at(b)
         num += cm * cf

@@ -1,27 +1,26 @@
 """The group layer: SU(1,1), its parabolic subgroup, and its classical maps.
 
-Elements are stored as M(alpha, beta) = [[a, b], [conj(b), conj(a)]] with
-|a|^2 - |b|^2 = 1 in the basis {e1, e2} where the form is diag(1, -1).
-The parabolic coordinates g(lambda, b) = [[lam, i b], [0, 1/lam]] live in the
-isotropic basis xi1 = (e1+e2)/sqrt2, xi2 = (e1-e2)/sqrt2; the basis change is
-applied exactly, so elements built from rational data multiply and factor
-without rounding.  That exactness is load-bearing: downstream symbolic
-operators index basis vectors by these rational parameters.
+An element M(alpha, beta) = [[alpha, beta], [conj(beta), conj(alpha)]],
+an isometry of the form diag(1, -1) on {e1, e2}, is stored as its image
+psi(m) in SL2(R): four integers over one positive denominator, reduced so
+that equal elements store equal integers.  psi reads the matrix in the
+isotropic basis xi1 = (e1+e2)/sqrt2, xi2 = (e1-e2)/sqrt2 up to factors i, so
+the parabolic coordinates g(lambda, b) have psi = [[lam, b], [0, 1/lam]] and
+s has psi = [[0, 1], [-1, 0]].  Products, inverses and factorizations are
+integer 2x2 arithmetic with one gcd per result; elements built from rational
+data never round.  That exactness is load-bearing: downstream symbolic
+operators index basis vectors by these rational parameters.  alpha and beta
+are derived from the stored integers.
 
-An element is stored as four integer numerators over one positive common
-denominator, reduced so that equal elements store equal integers; products
-and factorizations are integer arithmetic with one gcd per result, not one
-per Fraction operation.  Every construction, products included, checks
-|alpha|^2 - |beta|^2 = 1 to within 1e-12 as an exact integer inequality:
-rounded inputs are accepted inside that band, and the determinant of their
-products moves away from 1 with each factor, so a long product must not
-skip the check.
+Every construction, products included, checks det psi = |alpha|^2 -
+|beta|^2 = 1 to within 1e-12 as an exact integer inequality: rounded inputs
+are accepted inside that band, and the determinant of their products moves
+away from 1 with each factor, so a long product must not skip the check.
 
-Also provided, in closed form on the same integers: the isomorphism psi to
-SL2(R), whose entries are the xi-basis entries up to factors i, and the
-double cover onto SO(1,2), the symmetric square of psi; and translation
-lengths.  `verification` checks the relations of the group presentation by
-unipotents u(r) and the element w as words of operator atoms.
+Also provided, in closed form on the same integers: psi as a float matrix,
+the double cover onto SO(1,2) (the symmetric square of psi), and
+translation lengths.  `verification` checks the relations of the group
+presentation by unipotents u(r) and the element w as words of operator atoms.
 """
 
 from __future__ import annotations
@@ -72,95 +71,97 @@ def rationalize(x, cap: int) -> Fraction:
 
 
 def _part(i: int) -> property:
-    return property(lambda self: Fraction(self._num[i], self._den), doc="exact entry part, a Fraction")
+    return property(lambda self: Fraction(self._alpha_beta()[i], 2 * self._den), doc="exact part, a Fraction")
 
 
 class SU11Element:
-    """M(alpha, beta) with exact rational real/imaginary parts.
+    """M(alpha, beta), stored as psi(m) = [[a, b], [c, d]] / den.
 
-    Stored as integer numerators of (Re alpha, Im alpha, Re beta, Im beta)
-    over one positive denominator, gcd 1 over all five; `a_re` .. `b_im`
-    return the parts as Fractions.  Every construction checks the
-    determinant (see the module docstring for why products do too).
+    a, b, c, d and den > 0 are integers with gcd 1 over all five, so equal
+    elements store equal integers.  alpha = ((a+d) + i(b-c)) / 2den and
+    beta = ((a-d) - i(b+c)) / 2den are derived: `a_re` .. `b_im` return
+    them as Fractions.  Every construction checks the determinant (see the
+    module docstring for why products do too).
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_psi", "_den")
 
     def __init__(self, a_re: Rat, a_im: Rat, b_re: Rat, b_im: Rat):
         parts = [_frac(x) for x in (a_re, a_im, b_re, b_im)]
-        den = math.lcm(*(f.denominator for f in parts))  # gcd 1 by construction
-        self._set(tuple(f.numerator * (den // f.denominator) for f in parts), den)
+        den = math.lcm(*(f.denominator for f in parts))
+        ar, ai, br, bi = (f.numerator * (den // f.denominator) for f in parts)
+        self._set((ar + br, ai - bi, -(ai + bi), ar - br), den)
 
     @classmethod
-    def _from_ints(cls, num: tuple[int, int, int, int], den: int) -> "SU11Element":
-        common = math.gcd(*num, den)  # den > 0 for every caller
+    def _from_ints(cls, psi: tuple[int, int, int, int], den: int) -> "SU11Element":
         out = cls.__new__(cls)
-        out._set(tuple(n // common for n in num), den // common)
+        out._set(psi, den)
         return out
 
-    def _set(self, num: tuple[int, int, int, int], den: int) -> None:
-        ar, ai, br, bi = num
-        det, den2 = ar * ar + ai * ai - br * br - bi * bi, den * den
+    def _set(self, psi: tuple[int, int, int, int], den: int) -> None:
+        common = math.gcd(*psi, den)  # den > 0 for every caller
+        psi, den = tuple(n // common for n in psi), den // common
+        a, b, c, d = psi
+        # ad - bc is the integer |alpha|^2 - |beta|^2 over den^2
+        det, den2 = a * d - b * c, den * den
         if abs(det - den2) * 10**12 > den2:  # |det/den^2 - 1| > 1e-12, exactly
             # the quotient is formed only below 2^1023 in modulus, so it cannot overflow
             shown = det / den2 if abs(det) >> 1023 < den2 else (-math.inf if det < 0 else math.inf)
             raise ValidationError(f"|alpha|^2 - |beta|^2 = {shown} != 1")
-        self._num, self._den = num, den
+        self._psi, self._den = psi, den
+
+    def _alpha_beta(self) -> tuple[int, int, int, int]:
+        """(Re alpha, Im alpha, Re beta, Im beta) times 2 den."""
+        a, b, c, d = self._psi
+        return a + d, b - c, a - d, -(b + c)
 
     a_re, a_im, b_re, b_im = (_part(i) for i in range(4))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SU11Element):
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return self._psi == other._psi and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den))
+        return hash((self._psi, self._den))
 
     def __repr__(self) -> str:
-        return f"SU11Element({', '.join(str(Fraction(n, self._den)) for n in self._num)})"
+        return f"SU11Element({', '.join(str(Fraction(n, 2 * self._den)) for n in self._alpha_beta())})"
 
     @staticmethod
     def identity() -> "SU11Element":
-        return SU11Element(1, 0, 0, 0)
+        return SU11Element._from_ints((1, 0, 0, 1), 1)
 
     @property
     def alpha(self) -> complex:
-        return complex(self._num[0] / self._den, self._num[1] / self._den)
+        return complex(self.a_re, self.a_im)  # each part correctly rounded
 
     @property
     def beta(self) -> complex:
-        return complex(self._num[2] / self._den, self._num[3] / self._den)
+        return complex(self.b_re, self.b_im)
 
     def matrix(self) -> np.ndarray:
         a, b = self.alpha, self.beta
         return np.array([[a, b], [np.conj(b), np.conj(a)]])
 
     def __mul__(self, other: "SU11Element") -> "SU11Element":
-        # (a1 + b1 J)(a2 + b2 J) in the M(a, b) parametrization:
-        # alpha = a1 a2 + b1 conj(b2), beta = a1 b2 + b1 conj(a2)
-        (a1r, a1i, b1r, b1i), (a2r, a2i, b2r, b2i) = self._num, other._num
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = self._psi, other._psi
         return SU11Element._from_ints(
-            (
-                a1r * a2r - a1i * a2i + b1r * b2r + b1i * b2i,
-                a1r * a2i + a1i * a2r + b1i * b2r - b1r * b2i,
-                a1r * b2r - a1i * b2i + b1r * a2r + b1i * a2i,
-                a1r * b2i + a1i * b2r + b1i * a2r - b1r * a2i,
-            ),
+            (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2),
             self._den * other._den,
         )
 
     def inv(self) -> "SU11Element":
-        ar, ai, br, bi = self._num
-        return SU11Element._from_ints((ar, -ai, -br, -bi), self._den)
+        a, b, c, d = self._psi
+        return SU11Element._from_ints((d, -b, -c, a), self._den)
 
     def neg(self) -> "SU11Element":
-        return SU11Element._from_ints(tuple(-n for n in self._num), self._den)
+        return SU11Element._from_ints(tuple(-n for n in self._psi), self._den)
 
 
 def s_element() -> SU11Element:
     """The involution s: xi1 -> i xi2, xi2 -> i xi1 (alpha = i, beta = 0)."""
-    return SU11Element(0, 1, 0, 0)
+    return SU11Element._from_ints((0, 1, -1, 0), 1)
 
 
 @dataclass(frozen=True)
@@ -178,11 +179,9 @@ class ParabolicCoords:
 
 
 def to_su11(p: ParabolicCoords) -> SU11Element:
-    """g(lambda, b) as an M(alpha, beta); exact in the rational entries."""
+    """g(lambda, b), whose psi is [[lam, b], [0, 1/lam]]; exact."""
     ln, ld, bn, bd = p.lam.numerator, p.lam.denominator, p.b.numerator, p.b.denominator
-    # over 2 ln ld bd: alpha = (lam + 1/lam)/2 + i b/2, beta = (lam - 1/lam)/2 - i b/2
-    sq_n, sq_d, im = ln * ln * bd, ld * ld * bd, bn * ln * ld
-    return SU11Element._from_ints((sq_n + sq_d, im, sq_n - sq_d, -im), 2 * ln * ld * bd)
+    return SU11Element._from_ints((ln * ln * bd, bn * ln * ld, 0, ld * ld * bd), ln * ld * bd)
 
 
 def g(lam, b) -> SU11Element:
@@ -198,12 +197,6 @@ class PsPFactors:
     d: Fraction
 
 
-def _psi_ints(m: SU11Element) -> tuple[int, int, int, int]:
-    """psi(m) = [[a, b], [c, d]] times m's denominator, as exact integers."""
-    ar, ai, br, bi = m._num
-    return ar + br, ai - bi, -(ai + bi), ar - br
-
-
 def bruhat_factor(m: SU11Element) -> ParabolicCoords | PsPFactors:
     """Factor any element through the decomposition SU(1,1) = P | PsP.
 
@@ -212,7 +205,7 @@ def bruhat_factor(m: SU11Element) -> ParabolicCoords | PsPFactors:
     psi(m) decides the branch.  Signs make lambda > 0; the result
     reconstructs +/- m exactly.
     """
-    a, b, c, d = _psi_ints(m)
+    a, b, c, d = m._psi
     if c == 0:
         sign = 1 if a > 0 else -1
         return ParabolicCoords(Fraction(sign * a, m._den), Fraction(sign * b, m._den))
@@ -232,7 +225,7 @@ def reconstruct(f: ParabolicCoords | PsPFactors) -> SU11Element:
 def psi_to_sl2(m: SU11Element) -> np.ndarray:
     """Isomorphism onto SL2(R) with psi(g(lam,b)) = [[lam, b], [0, 1/lam]]
     and psi(s) = [[0, 1], [-1, 0]]; each entry is correctly rounded."""
-    (a, b, c, d), den = _psi_ints(m), m._den
+    (a, b, c, d), den = m._psi, m._den
     return np.array([[a / den, b / den], [c / den, d / den]])
 
 
@@ -249,7 +242,7 @@ def phi_to_so12(m: SU11Element) -> np.ndarray:
     Phi(s) = [[0,1,0],[1,0,0],[0,0,-1]].  Each product of psi entries is
     formed exactly and rounded once, before any factor sqrt2.
     """
-    a, b, c, d = _psi_ints(m)
+    a, b, c, d = m._psi
     den2, r2 = m._den * m._den, math.sqrt(2.0)
     return np.array(
         [

@@ -80,6 +80,29 @@ def test_model_cartan_at_is_the_angle_of_the_evaluated_elements(t, r):
         assert model_cartan_at(model, b) == want
 
 
+def closed_form_cartan(t, r, b):
+    """Cart(rho(1,b) x, rho(1,-b) x, x) for b > 0 at 50 digits: with s = b^t,
+    arg(1 + 2^(t-1) s e^{ir}) + 2 arg(1 + (s/2) e^{-ir})."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(b) ** t
+        return mpmath.arg(1 + 2 ** (t - 1) * s * mpmath.expj(r)) + 2 * mpmath.arg(1 + s / 2 * mpmath.expj(-r))
+
+
+def test_model_cartan_matches_its_closed_form_up_to_huge_b():
+    # the product of the three pairings grows like b^(3t); unscaled, it
+    # overflowed from b^t ~ 1e102 on (-pi/4 at (0.5, 0.3), b = 1e207)
+    bs = np.geomspace(1e-3, 1e299, 80).tolist()
+    for t, r in [(0.5, 0.3), (0.3, 0.0), (0.7, 0.35 * math.pi), (1.0, 0.9), (0.01, 0.0157), (1.0, 0.0)]:
+        model = make(t, r)
+        for b in bs:
+            assert abs(model_cartan_at(model, b) - closed_form_cartan(t, r, b)) <= 4.5e-16, (t, r, b)
+    # the real model's angle is exactly 0 (NaN before, from b = 1e300 on)
+    assert [model_cartan_at(make(1.0, 0.0), b) for b in (1e300, 1e301, 1e302)] == [0.0] * 3
+    # at the boundary (t, r) = (1, pi/2) the closed form is the finite-dimensional angle
+    for b in bs:
+        assert abs(closed_form_cartan(1.0, math.pi / 2, b) - finite_cartan_at(b)) <= 4.5e-16, b
+
+
 def test_finite_cartan_cross_validated():
     # against the geometric computation on validated points, moderate b
     from horocomb import hypgeo
@@ -147,6 +170,19 @@ def test_cartan_slope():
 
     real = make(0.5, 0.0)
     assert cartan_slope(real, schedule) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "start, slope", [(1e-6, None), (1e-3, None), (1.0, 0.09630765800587957), (1e6, 0.12716993040253163)]
+)
+def test_cartan_slope_refuses_a_schedule_starting_below_one(start, slope):
+    # the slope is asymptotic: from 1e-6 and 1e-3 it read 2.3e9 and 72.4, against 0.127
+    model, schedule = make(0.5, 0.2), geometric_schedule(start, 10.0, 3)
+    if slope is None:
+        with pytest.raises(ValidationError, match=f"got {start!r}"):
+            cartan_slope(model, schedule)
+    else:
+        assert cartan_slope(model, schedule) == slope
 
 
 @pytest.mark.parametrize("t", [1e-17, 1e-300])

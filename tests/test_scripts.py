@@ -58,8 +58,12 @@ def test_cli_parity_prints_one_digest_that_two_runs_share():
     ]
     outs = [proc.communicate(timeout=120) for proc in runs]
     assert [proc.returncode for proc in runs] == [0, 0], [err for _, err in outs]
-    (first, _), (second, _) = outs
+    (first, first_err), (second, second_err) = outs
     assert first == second and re.fullmatch(r"[0-9a-f]{64}\n", first)
+    # one "<sha256> <argv>" line per probe, the same in both processes
+    lines = first_err.splitlines()
+    assert first_err == second_err and len(lines) == 28
+    assert all(re.fullmatch(r"[0-9a-f]{64} [a-z].*", line) for line in lines)
 
 
 def bench_pairs_args(parent: Path, change: Path, out: Path, pairs: str) -> list[str]:
