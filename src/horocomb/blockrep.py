@@ -225,10 +225,7 @@ def probe_vectors(model: RepModel, *ops: RepOperator) -> list[FormalVector]:
     params.discard(Fraction(0))
     if len(params) + 2 > PROBE_CAP:
         raise ProbeOverflowError(f"probe set would need {len(params) + 2} symbols")
-    probes = [eta1(model.ctx), eta2(model.ctx)]
-    if not model.ctx.degenerate:
-        probes += [cvec(model.ctx, b) for b in sorted(params)]
-    return probes
+    return [eta1(model.ctx), eta2(model.ctx), *(cvec(model.ctx, b) for b in sorted(params))]
 
 
 def compare_up_to_phase(

@@ -11,7 +11,7 @@ when the weights are solved for the affine target.
 Endpoints: the real family (K1 = -1, invariant 0, any 0 < t < 2) and the
 fractional-power family (K1 = exp(i(pi - t*pi/2)), invariant t*pi/2, for
 0 < t < 1).  At t = 1 the second endpoint degenerates to the
-finite-dimensional identity model (Re K1 = 0), which still mixes.
+finite-dimensional identity model (Re K1 = 0, null C-symbols), which mixes.
 """
 
 from __future__ import annotations
@@ -93,9 +93,8 @@ def endpoint_real(t: float) -> RepModel:
 def endpoint_tautological(t: float) -> RepModel:
     """The fractional-power family: K1 = exp(i(pi - t*pi/2)), invariant t*pi/2.
 
-    At t = 1 this degenerates to the finite-dimensional identity model
-    (Re K1 = 0); it is returned for mixing purposes but carries no
-    C-symbols.
+    At t = 1 this is the finite-dimensional identity model (Re K1 = 0):
+    its C-symbols are null, so it acts on the complex hyperbolic line.
     """
     if not 0.0 < t <= 1.0:
         raise ParameterError(f"tautological endpoint needs 0 < t <= 1, got {t}", "unknown")

@@ -8,8 +8,9 @@ equivalent exactly when their angular invariants agree.
 
 The angular invariant is also recovered dynamically: the angle of the
 triple (rho(1,b) x, rho(1,-b) x, x) converges, as b grows, to minus the
-invariant, with error O(b^-t); a Richardson step with exponent t/2 (a safe
-under-estimate of the true rate) accelerates the tail.  The analogous
+invariant, with error (4 - 2^(1-t)) sin(r) b^-t + O(b^-2t) (the closed form
+is arg(1 + 2^(t-1) s e^{ir}) + 2 arg(1 + (s/2) e^{-ir}), s = b^t); a
+Richardson step at that rate accelerates the tail.  The analogous
 finite-dimensional limit on the complex hyperbolic line is -pi/2, with
 deviation ~ 3/b: its angle is the closed form atan(b) - 2 atan(b/2).  The
 ratio of the two sequences recovers the invariant as a slope against pi/2.
@@ -62,16 +63,16 @@ def validate_params(t: float, r: float) -> str:
 
 def geometric_schedule(start: float = 1.0, ratio: float = 10.0, steps: int = 9) -> list[Fraction]:
     """b-values start * ratio^k, start and ratio rationalized to denominators
-    <= 10^6; each must be a finite float, as the angle is taken at float(b)."""
+    <= 10^6; each at most half the largest float, as <C(b), C(-b)> reads 2b."""
     if not (math.isfinite(start) and math.isfinite(ratio)):
         raise ValidationError(f"schedule needs a finite start and ratio, got {start!r}, {ratio!r}")
     start_f, ratio_f = su11.rationalize(start, 10**6), su11.rationalize(ratio, 10**6)
     if ratio_f <= 1 or start_f <= 0:
         raise ValidationError("schedule needs start > 0 and ratio > 1 at denominators <= 10^6")
     schedule = [start_f * ratio_f**k for k in range(steps)]
-    if schedule and schedule[-1] > sys.float_info.max:
+    if schedule and schedule[-1] > sys.float_info.max / 2:
         raise ValidationError(
-            f"schedule's last b = start * ratio^{steps - 1} exceeds the largest float"
+            f"schedule's last b = start * ratio^{steps - 1} exceeds half the largest float"
         )
     return schedule
 
@@ -105,14 +106,14 @@ class CartanLimit:
 def cartan_limit_estimate(model: RepModel, b_schedule: Sequence) -> CartanLimit:
     """Cartan values along the schedule plus a Richardson-extrapolated limit.
 
-    The limit equals -model_arg(model).  Extrapolation assumes error
-    C * b^(-t/2) between consecutive geometric points; a t so small that
-    the step's factor ratio^(t/2) rounds to 1 leaves the step undefined.
+    The limit equals -model_arg(model).  Extrapolation assumes error C * b^-t,
+    the closed form's leading term, between consecutive geometric points; a
+    t so small that the factor ratio^t rounds to 1 leaves the step undefined.
     """
     bs = [su11._frac(b) for b in b_schedule]
     vals = [model_cartan_at(model, b) for b in bs]
     running: list[float] = [vals[0]]
-    p = model.t / 2.0
+    p = model.t
     for i in range(1, len(vals)):
         q = float(bs[i] / bs[i - 1])
         factor = q**p

@@ -61,8 +61,8 @@ class KernelContext:
     """The pair (t, K1) that determines a representation model.
 
     Invariants: 0 < t <= 2; K1 != 0; Re K1 <= 0 <= Im K1; Im K1 = 0 when
-    t = 2; Re K1 = 0 forces t = 1 (and such degenerate contexts refuse
-    C-symbols entirely -- the model is finite-dimensional there).
+    t = 2; Re K1 = 0 forces t = 1, where every C-symbol is null and the
+    form lives on the line of eta1, eta2 (the finite-dimensional model).
     `delta` and `c_pair` evaluate `_c_gram`, the C-kernel of every Gram; `k` is stated apart.
     """
 
@@ -85,7 +85,7 @@ class KernelContext:
 
     @property
     def degenerate(self) -> bool:
-        """True when the cocycle part vanishes (Re K1 = 0): no C-symbols."""
+        """True when the cocycle part vanishes (Re K1 = 0): the C-span is null."""
         return abs(self.k1.real) < 1e-12
 
     def k(self, b) -> complex:
@@ -109,9 +109,7 @@ class KernelContext:
         return _power_and_delta(self, float(b))[1]
 
     def c_pair(self, b, d) -> complex:
-        """<C(b), C(d)> (`_c_gram`): the form on the cocycle span (negative definite)."""
-        if self.degenerate:
-            raise UsageError("degenerate context (Re K1 = 0) carries no C-symbols")
+        """<C(b), C(d)> (`_c_gram`): the form on the cocycle span (negative definite; 0 if degenerate)."""
         b, d = float(b), float(d)
         if b == 0.0 or d == 0.0:
             raise ValidationError("C-symbols require nonzero parameters")
@@ -166,8 +164,6 @@ class FormalVector:
 
     def __post_init__(self):
         clean = {s: complex(c) for s, c in self.coeffs.items() if c != 0}
-        if self.ctx.degenerate and any(s[0] == "c" for s in clean):
-            raise UsageError("degenerate context (Re K1 = 0) carries no C-symbols")
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     def is_zero(self, tol: float = 0.0) -> bool:
@@ -364,27 +360,25 @@ def reconstruct_embedding(
 ) -> tuple[HermitianFormSpace, list[np.ndarray]]:
     """Coordinates w_i in a diag(1, -1, ..., -1) space with B(w_i, w_j) = gram[i, j].
 
-    With p the largest diagonal entry, g = gram[:, p] / sqrt(gram[p, p]) and
-    S = g g^H - gram off p, a Cholesky factor L of S certifies signature
-    (1, 0, n - 1) (Haynsworth) and gives w_i = (g_i, L_i), L_p = 0.  It is
-    tried if gram[p, p] > zero_band |gram|_F, so that the positive eigenvalue
-    (>= gram[p, p]) is outside the zero band; else eigh needs (1, 0, k) outside it."""
+    With g = gram[:, 0] / sqrt(gram[0, 0]) and S = g g^H - gram[1:, 1:], a
+    Cholesky factor L of S certifies signature (1, 0, n - 1) (Haynsworth, at
+    any positive pivot) and gives w_i = (g_i, L_i), L_0 = 0.  It is tried if
+    gram[0, 0] (1 in an orbit Gram) > zero_band |gram|_F, so that the positive
+    eigenvalue (>= gram[0, 0]) is outside the zero band; else eigh needs
+    (1, 0, k) outside it."""
     gram = np.asarray(gram, dtype=complex)
     if not np.isfinite(gram).all():
         raise ReconstructionError("Gram has non-finite entries, need exactly 1 positive direction")
-    diag = gram.diagonal().real
-    if diag.size and diag.max() > zero_band * np.linalg.norm(gram):
-        p = int(np.argmax(diag))
-        rest = np.arange(len(diag)) != p
-        g = gram[:, p] / math.sqrt(diag[p])
+    if gram.size and gram[0, 0].real > zero_band * np.linalg.norm(gram):
+        g = gram[:, 0] / math.sqrt(gram[0, 0].real)
         try:
-            low = np.linalg.cholesky(np.outer(g[rest], g[rest].conj()) - gram[np.ix_(rest, rest)])
+            low = np.linalg.cholesky(np.outer(g[1:], g[1:].conj()) - gram[1:, 1:])
         except np.linalg.LinAlgError:
             pass  # S singular or indefinite
         else:
             coords = np.zeros(gram.shape, dtype=complex)
-            coords[:, 0], coords[rest, 1:] = g, low
-            return minkowski_space(len(diag) - 1, "complex"), list(coords)
+            coords[:, 0], coords[1:, 1:] = g, low
+            return minkowski_space(len(gram) - 1, "complex"), list(coords)
     eigs, vecs = np.linalg.eigh(gram)
     npos = eigenvalue_signature(eigs, zero_band)[0]
     if npos != 1:

@@ -84,8 +84,6 @@ def test_diag_moves_cocycle_parameter():
 
 def test_diag_preserves_pairing_with_prefactor():
     for m in MODELS:
-        if m.ctx.degenerate:
-            continue
         for b, d in [(1, 2), (-1, 3)]:
             lhs = pairing(
                 apply(op_diag(m, Fraction(3, 2)), cvec(m.ctx, b)),
@@ -145,8 +143,6 @@ def test_sigma_on_cocycle_vector():
 
 def test_sigma_unitary_three_regimes():
     for m in MODELS:
-        if m.ctx.degenerate:
-            continue
         sig = op_sigma(m)
         for b, d in [(2, -3), (3, 1), (-4, -1), (2, 2)]:
             lhs = pairing(
@@ -161,8 +157,6 @@ def test_sigma_unitary_three_regimes():
 def test_operators_preserve_the_form():
     rng = np.random.default_rng(37)
     for m in MODELS:
-        if m.ctx.degenerate:
-            continue
         ops = [
             op_diag(m, Fraction(5, 3)),
             op_unipotent(m, Fraction(-3, 4)),
@@ -545,6 +539,17 @@ def test_orbit_gram_matches_loop_reference(stratum, n):
     np.testing.assert_array_equal(np.diag(got), np.ones(n))
 
 
+def test_orbit_gram_rank_of_the_finite_dimensional_models():
+    # negative controls for a full-rank orbit check: the degenerate endpoint's orbit
+    # spans the complex hyperbolic line (rank 2), the t = 2 real model's the real plane (rank 3)
+    from horocomb.combination import endpoint_tautological
+
+    rng = np.random.default_rng(0)
+    els = [su11.SU11Element.identity()] + [su11.random_su11(rng) for _ in range(7)]
+    for model, rank in [(endpoint_tautological(1.0), 2), (RepModel(KernelContext(2.0, -1.0)), 3)]:
+        assert signature_count(orbit_gram(model, els)) == (1, 8 - rank, rank - 1)
+
+
 # ---------------------------------------------------------------------------
 # the atoms against a restatement in Fraction arithmetic
 
@@ -648,12 +653,11 @@ def test_atoms_match_fraction_arithmetic_when_parameters_cancel(m):
         assert_atoms_match_fractions(op, [eta1(m.ctx), eta2(m.ctx), cvec(m.ctx, -b), cvec(m.ctx, b)])
 
 
-def test_atoms_refuse_a_degenerate_context_as_fraction_arithmetic_does():
+def test_atoms_match_fraction_arithmetic_in_a_degenerate_context():
+    # Re K1 = 0: the atoms build C-symbols there as anywhere else, bit for bit as Fractions do
     m = RepModel(KernelContext(1.0, 1j))
     diag_unip = RepOperator(m, op_diag(m, 3).atoms + op_unipotent(m, Fraction(1, 2)).atoms)
-    for op in [op_unipotent(m, 2), diag_unip]:
-        for run in (apply, fraction_apply):
-            with pytest.raises(UsageError, match="degenerate"):
-                run(op, eta2(m.ctx))
-    op = RepOperator(m, op_sigma(m).atoms + op_diag(m, 2).atoms)
-    assert_atoms_match_fractions(op, [eta1(m.ctx), eta2(m.ctx), basepoint(m)])
+    sigma_diag = RepOperator(m, op_sigma(m).atoms + op_diag(m, 2).atoms)
+    assert csym(2) in apply(op_unipotent(m, 2), eta2(m.ctx)).coeffs
+    for op in [op_unipotent(m, 2), diag_unip, sigma_diag]:
+        assert_atoms_match_fractions(op, [basepoint(m), *probe_vectors(m, op)])

@@ -115,8 +115,14 @@ def test_cartan_limit_csv(capsys):
 
 @pytest.mark.parametrize(
     "extra, scale, code",
-    # --steps 208 ends at b = 1e207, where the pairings' product once overflowed
-    [([], None, 0), (["--steps", "208"], None, 0), ([], "1e-18", 1)],
+    # --steps 208 ends at b = 1e207, where the pairings' product once overflowed;
+    # --b-start 1e305 --steps 3 ends at b = 1e307, below half the largest float
+    [
+        ([], None, 0),
+        (["--steps", "208"], None, 0),
+        ([], "1e-18", 1),
+        (["--b-start", "1e305", "--steps", "3"], None, 0),
+    ],
 )
 def test_cartan_limit_exit_is_the_extrapolated_verdict(capsys, monkeypatch, extra, scale, code):
     # one verdict: cartan-limit's exit is the cartan_limit_extrapolated record of the limits suite
@@ -211,6 +217,9 @@ TR = ["--t", "0.5", "--r", "0.3"]
         ["classify", "--lam", "2", "--beta", "1,0"],
         ["maps", "--alpha", "0,1", "--b", "5"],
         ["maps", "--lam", "2", "--alpha", "0,1"],
+        # the last b (10^308) is above half the largest float, so the kernel at 2b overflows
+        ["cartan-limit", *TR, "--b-start", "1e306", "--steps", "3"],
+        ["model", "verify", *TR, "--suite", "limits", "--b-start", "1e306", "--steps", "3"],
     ],
 )
 def test_malformed_element_exits_2_with_json_error(capsys, argv):

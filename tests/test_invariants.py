@@ -185,9 +185,18 @@ def test_cartan_slope_refuses_a_schedule_starting_below_one(start, slope):
         assert cartan_slope(model, schedule) == slope
 
 
+@pytest.mark.parametrize("t, r", [(0.5, 0.3), (0.9, 1.2), (1.0, 0.9)])
+def test_richardson_step_gains_three_orders_on_the_default_schedule(t, r):
+    # the error is (4 - 2^(1-t)) sin(r) b^-t + O(b^-2t), so the step's exponent is t
+    model = make(t, r)
+    est = cartan_limit_estimate(model, geometric_schedule())
+    raw = abs(est.points[-1][1] + model_arg(model))
+    assert abs(est.extrapolated + model_arg(model)) <= 1e-3 * raw
+
+
 @pytest.mark.parametrize("t", [1e-17, 1e-300])
 def test_richardson_step_refuses_a_factor_that_rounds_to_one(t):
-    # 10^(t/2) == 1.0 in floats, so the step would divide by zero
+    # 10^t == 1.0 in floats, so the step would divide by zero
     with pytest.raises(ValidationError, match=f"t = {t!r} is too small"):
         cartan_limit_estimate(make(t, 0.0), geometric_schedule(1.0, 10.0, 3))
 

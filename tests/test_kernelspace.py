@@ -55,13 +55,16 @@ def test_context_validation():
         KernelContext(0.5, 1j)  # Re = 0 forces t = 1
 
 
-def test_degenerate_context_refuses_c_symbols():
+def test_degenerate_context_has_null_c_symbols():
+    # Re K1 = 0 (t = 1): each C(b) pairs to 0 with everything, so the form is the hyperbolic line's
     ctx = KernelContext(1.0, 1j)
     assert ctx.degenerate
-    with pytest.raises(UsageError):
-        cvec(ctx, 1)
-    with pytest.raises(UsageError):
-        ctx.c_pair(1, 2)
+    vecs = [eta1(ctx), eta2(ctx), *(cvec(ctx, b) for b in (1, -2, Fraction(1, 3), Fraction(-7, 5)))]
+    mat = pairing_matrix(vecs, vecs)
+    assert_matches_scalar(mat, vecs, vecs)
+    np.testing.assert_array_equal(mat[:2, :2], [[0, 1], [1, 0]])
+    assert np.max(np.abs(mat[2:])) <= 1e-15 and np.max(np.abs(mat[:, 2:])) <= 1e-15
+    assert ctx.c_pair(1, 2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +303,7 @@ def test_pairing_matrix_empty_families():
 
 
 def test_pairing_matrix_degenerate_context():
-    # t = 1, Re K1 = 0: no C-symbols exist, only the hyperbolic line
+    # t = 1, Re K1 = 0: the eta-vectors span the hyperbolic line
     ctx = KernelContext(1.0, 1j)
     us = [eta1(ctx), eta2(ctx), FormalVector(ctx, {ETA1: 2.0, ETA2: 1j})]
     vs = us + [FormalVector(ctx, {})]
