@@ -13,7 +13,8 @@ one element of P and two of PsP, `model build` at r = 0.3 and at
 r = -1e-20, which builds the r = 0 model, and `model verify --suite gram` at
 seeds 0-2, whose orbit Grams are embedded by `reconstruct_embedding`, and
 `cartan-limit --b-start 1e306 --steps 3`, whose last b = 1e308 is above
-half the largest float and is refused (exit 2).  Each
+half the largest float and is refused (exit 2), and `cartan-limit --t 1e-17
+--r 0`, where b^t rounds to 1 and every step reads the limit 0.  Each
 runs in this process through `horocomb.cli.main`, with
 HOROCOMB_TOLERANCE_SCALE removed from the environment.  Probes were added to
 the end of the list over time, so the digest differs from one taken with a
@@ -52,6 +53,7 @@ PROBES = [
     ["model", "build", "--t", "0.5", "--r", "-1e-20"],
     *(["model", "verify", *MODEL, "--suite", "gram", "--seed", str(s)] for s in range(3)),
     ["cartan-limit", *MODEL, "--b-start", "1e306", "--steps", "3"],
+    ["cartan-limit", "--t", "1e-17", "--r", "0"],
 ]
 
 

@@ -29,7 +29,6 @@ coefficients of an auto-generated probe set.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .hypgeo import triple_product
+from .hypgeo import cartan_phase
 from .kernelspace import (
     ETA1,
     ETA2,
@@ -277,15 +276,13 @@ def orbit_gram(model: RepModel, elements: Sequence[SU11Element]) -> np.ndarray:
     return phase_corrected_gram(z[:, :-1], z[:, -1])
 
 
-def _scaled_pairing(u: FormalVector, v: FormalVector) -> complex:
-    """pairing(u, v) times the power of two that puts its larger part in [0.5, 1), exactly."""
-    z = pairing(u, v)
-    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
-    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+def cartan_pairings(model: RepModel, a: RepOperator, b: RepOperator) -> tuple[complex, complex, complex]:
+    """<a x, b x>, <b x, x> and <x, a x> at the basepoint x: the pairings of Cart(a x, b x, x)."""
+    x = basepoint(model)
+    ax, bx = apply(a, x), apply(b, x)
+    return pairing(ax, bx), pairing(bx, x), pairing(x, ax)
 
 
 def model_cartan(model: RepModel, a: RepOperator, b: RepOperator) -> float:
-    """Cart(a x, b x, x) at the basepoint x, from formal pairings scaled so that
-    their product keeps its phase and cannot overflow, unlike the unscaled one past ~1e102."""
-    x = basepoint(model)
-    return cmath.phase(triple_product(_scaled_pairing, apply(a, x), apply(b, x), x))
+    """Cart(a x, b x, x) at the basepoint x."""
+    return cartan_phase(cartan_pairings(model, a, b))

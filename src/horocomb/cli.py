@@ -6,7 +6,7 @@ Subcommands:
     model build   parameters of the (t, r) model as JSON
     model verify  run a named check suite against the (t, r) model
     combine       horospherical combination of two invariants at fixed t
-    cartan-limit  angle sequence and running extrapolation (CSV)
+    cartan-limit  angle sequence and the limit read off each step (CSV)
     gns-check     orbit Gram eigenvalues and signature verdict
 
 Reports are deterministic for a fixed seed: JSON with sorted keys, CSV

@@ -91,14 +91,14 @@ def endpoint_real(t: float) -> RepModel:
 
 
 def endpoint_tautological(t: float) -> RepModel:
-    """The fractional-power family: K1 = exp(i(pi - t*pi/2)), invariant t*pi/2.
+    """The fractional-power family: K1 = i exp(i(1 - t) pi/2), invariant t*pi/2.
 
-    At t = 1 this is the finite-dimensional identity model (Re K1 = 0):
+    At t = 1 this is the finite-dimensional identity model (K1 = i exactly):
     its C-symbols are null, so it acts on the complex hyperbolic line.
     """
     if not 0.0 < t <= 1.0:
         raise ParameterError(f"tautological endpoint needs 0 < t <= 1, got {t}", "unknown")
-    return RepModel.from_context(KernelContext(t, cmath.exp(1j * (math.pi - t * math.pi / 2))))
+    return RepModel.from_context(KernelContext(t, 1j * cmath.exp(1j * (1.0 - t) * math.pi / 2)))
 
 
 def make_representation(t: float, r: float) -> RepModel:

@@ -13,6 +13,7 @@ Lifts are stored unnormalized; operations normalize on the fly.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +52,8 @@ class HermitianFormSpace:
         diag = np.diagonal(j).copy()
         is_diag = np.count_nonzero(j) == np.count_nonzero(diag)
         sym = diag if is_diag else j  # j - j^H vanishes off a diagonal form's diagonal
+        if not np.isfinite(sym).all():
+            raise ValidationError("form matrix has a non-finite entry")
         if np.max(np.abs(sym - sym.conj().T)) > STRUCT_TOL * max(1.0, np.max(np.abs(sym))):
             raise ValidationError("form matrix is not self-adjoint")
         if is_diag:
@@ -59,11 +62,8 @@ class HermitianFormSpace:
             object.__setattr__(self, "_diag", diag)
         else:
             eigs = np.linalg.eigvalsh(j)
-        npos = int(np.sum(eigs > 0))
-        if npos != 1 or np.any(np.abs(eigs) < STRUCT_TOL * max(1.0, np.max(np.abs(eigs)))):
-            raise ValidationError(
-                f"form must have signature (1, n); eigenvalues {eigs}"
-            )
+        if np.sum(eigs > 0) != 1 or np.any(np.abs(eigs) < STRUCT_TOL * max(1.0, np.max(np.abs(eigs)))):
+            raise ValidationError(f"form must have signature (1, n); eigenvalues {eigs}")
         j.flags.writeable = False
         object.__setattr__(self, "matrix", j)
 
@@ -157,16 +157,19 @@ def distance(x: HPoint, y: HPoint) -> float:
     """Hyperbolic distance arccosh(|B(x,y)| / sqrt(B(x,x) B(y,y)))."""
     space = _same_space(x, y)
     num = abs(space.pair(x.lift, y.lift))
-    den = math.sqrt(
-        float(np.real(space.pair(x.lift, x.lift)))
-        * float(np.real(space.pair(y.lift, y.lift)))
-    )
+    den = math.sqrt(space.pair(x.lift, x.lift).real * space.pair(y.lift, y.lift).real)
     return math.acosh(max(1.0, num / den))
 
 
-def triple_product(pair, x, y, z) -> complex:
-    """pair(x, y) pair(y, z) pair(z, x): the triple product whose argument is Cartan's angle."""
-    return pair(x, y) * pair(y, z) * pair(z, x)
+def cartan_phase(zs) -> float:
+    """Phase of the product of the zs, each scaled exactly by a power of two into [0.5, 1)
+    so that the product cannot overflow; 0 for a zero product, whatever its zeros' signs."""
+    scaled = []
+    for z in zs:
+        e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+        scaled.append(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)))
+    prod = math.prod(scaled[1:], start=scaled[0])
+    return cmath.phase(prod) if prod else 0.0
 
 
 def cartan_argument(x, y, z) -> float:
@@ -177,13 +180,11 @@ def cartan_argument(x, y, z) -> float:
     genuine configurations) raises ValidationError.
     """
     space = _same_space(x, y, z)
-    prod = triple_product(space.pair, x.lift, y.lift, z.lift)
-    scale = (
-        np.linalg.norm(x.lift) * np.linalg.norm(y.lift) * np.linalg.norm(z.lift)
-    ) ** 2
-    if abs(prod) <= 1e-30 * float(scale):
+    zs = [space.pair(x.lift, y.lift), space.pair(y.lift, z.lift), space.pair(z.lift, x.lift)]
+    scale = float((np.linalg.norm(x.lift) * np.linalg.norm(y.lift) * np.linalg.norm(z.lift)) ** 2)
+    if math.prod(abs(w) for w in zs) <= 1e-30 * scale:
         raise DegenerateConfigurationError("vanishing pairing in the triple")
-    val = math.atan2(prod.imag, prod.real)
+    val = cartan_phase(zs)
     if abs(val) > math.pi / 2 + 1e-9:
         raise ValidationError(f"angular invariant {val} outside [-pi/2, pi/2]")
     return val

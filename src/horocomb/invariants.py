@@ -9,9 +9,9 @@ equivalent exactly when their angular invariants agree.
 The angular invariant is also recovered dynamically: the angle of the
 triple (rho(1,b) x, rho(1,-b) x, x) converges, as b grows, to minus the
 invariant, with error (4 - 2^(1-t)) sin(r) b^-t + O(b^-2t) (the closed form
-is arg(1 + 2^(t-1) s e^{ir}) + 2 arg(1 + (s/2) e^{-ir}), s = b^t); a
-Richardson step at that rate accelerates the tail.  The analogous
-finite-dimensional limit on the complex hyperbolic line is -pi/2, with
+is arg(1 + 2^(t-1) s e^{ir}) + 2 arg(1 + (s/2) e^{-ir}), s = b^t); the
+Cartan phase of its pairings' changes between two b is the limit itself.
+The finite-dimensional limit on the complex hyperbolic line is -pi/2, with
 deviation ~ 3/b: its angle is the closed form atan(b) - 2 atan(b/2).  The
 ratio of the two sequences recovers the invariant as a slope against pi/2.
 """
@@ -25,8 +25,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import su11
-from .blockrep import RepModel, model_cartan, op_unipotent
+from .blockrep import RepModel, cartan_pairings, model_cartan, op_unipotent
 from .errors import ValidationError
+from .hypgeo import cartan_phase
 
 
 def model_arg(model) -> float:
@@ -100,31 +101,30 @@ def finite_cartan_at(b: float) -> float:
 class CartanLimit:
     points: tuple[tuple[float, float], ...]  # (b, Cart(b))
     extrapolated: float
-    running: tuple[float, ...]  # Richardson value after each step
+    running: tuple[float, ...]  # the first angle, then the limit read off each step
+
+
+def _change(later: complex, earlier: complex) -> complex:
+    """later - earlier, or 0 where that is within 2 eps of the larger pairing: rounding, not a step."""
+    d = later - earlier
+    return d if abs(d) > 2 * sys.float_info.epsilon * max(abs(later), abs(earlier)) else 0j
 
 
 def cartan_limit_estimate(model: RepModel, b_schedule: Sequence) -> CartanLimit:
-    """Cartan values along the schedule plus a Richardson-extrapolated limit.
+    """Cartan values along the schedule plus the limit read off each step.
 
-    The limit equals -model_arg(model).  Extrapolation assumes error C * b^-t,
-    the closed form's leading term, between consecutive geometric points; a
-    t so small that the factor ratio^t rounds to 1 leaves the step undefined.
+    Each of the three pairings is affine in s = b^t, so its change from one b
+    to a larger one has the phase of its s-coefficient, and the Cartan phase
+    of the three changes is the limit -model_arg(model) up to rounding.  Where
+    b^t moves by an ulp or two (t below ~1e-15), the changes and their phase
+    read 0, within t*pi/2 of the limit.
     """
     bs = [su11._frac(b) for b in b_schedule]
-    vals = [model_cartan_at(model, b) for b in bs]
-    running: list[float] = [vals[0]]
-    p = model.t
-    for i in range(1, len(vals)):
-        q = float(bs[i] / bs[i - 1])
-        factor = q**p
-        if factor == 1.0:
-            raise ValidationError(f"t = {model.t!r} is too small for the Richardson step")
-        running.append(vals[i] + (vals[i] - vals[i - 1]) / (factor - 1.0))
-    return CartanLimit(
-        points=tuple((float(b), v) for b, v in zip(bs, vals)),
-        extrapolated=running[-1],
-        running=tuple(running),
-    )
+    pairs = [cartan_pairings(model, op_unipotent(model, b), op_unipotent(model, -b)) for b in bs]
+    vals = [cartan_phase(zs) for zs in pairs]
+    steps = [cartan_phase(map(_change, later, earlier)) for earlier, later in zip(pairs, pairs[1:])]
+    running = (vals[0], *steps)
+    return CartanLimit(tuple(zip(map(float, bs), vals)), running[-1], running)
 
 
 def cartan_slope(model: RepModel, b_schedule: Sequence) -> float:

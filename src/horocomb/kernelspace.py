@@ -276,8 +276,11 @@ def pairing_matrix(us: Sequence[FormalVector], vs: Sequence[FormalVector]) -> np
 # Gram utilities
 
 def signature_count(mat: np.ndarray, zero_band: float = ZERO_BAND) -> tuple[int, int, int]:
-    """(positive, zero, negative) eigenvalue counts of a Hermitian matrix."""
-    return eigenvalue_signature(np.linalg.eigvalsh(np.asarray(mat)), zero_band)
+    """(positive, zero, negative) eigenvalue counts of a Hermitian matrix; one with a
+    non-finite entry has NaN eigenvalues, in no class (eigvalsh reads diag(1, nan) as 0s)."""
+    mat = np.asarray(mat)
+    eigs = np.linalg.eigvalsh(mat) if np.isfinite(mat).all() else np.full(len(mat), np.nan)
+    return eigenvalue_signature(eigs, zero_band)
 
 
 def eigenvalue_signature(eigs: np.ndarray, zero_band: float = ZERO_BAND) -> tuple[int, int, int]:

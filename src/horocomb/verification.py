@@ -326,15 +326,12 @@ def homomorphism_checks(
 
 
 def limit_checks(model: RepModel, est: CartanLimit) -> list[dict]:
-    """The Cartan limit approaches minus the angular invariant, within max(1e-3, 5 b_max^-t)."""
-    b_max = est.points[-1][0]
+    """The last angle and the extrapolated limit each approach minus the
+    angular invariant within max(1e-3, 5 b_max^-t)."""
+    b_max, last = est.points[-1]
     tolerance = max(1e-3, 5.0 * b_max ** (-model.t))
-    raw_dev = abs(est.points[-1][1] + model_arg(model))
-    ext_dev = abs(est.extrapolated + model_arg(model))
-    return [
-        check("cartan_limit_raw", raw_dev, max(tolerance, 2.0 * b_max ** (-model.t / 2))),
-        check("cartan_limit_extrapolated", ext_dev, tolerance),
-    ]
+    limits = {"cartan_limit_raw": last, "cartan_limit_extrapolated": est.extrapolated}
+    return [check(name, abs(v + model_arg(model)), tolerance) for name, v in limits.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,23 @@ def test_cartan_limit_exit_is_the_extrapolated_verdict(capsys, monkeypatch, extr
     assert run_cli(capsys, "cartan-limit", *tr)[0] == code
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["cartan-limit", "--t", "1e-17", "--r", "0", "--format", "json"],
+     ["model", "verify", "--t", "1e-300", "--r", "0", "--suite", "limits"]],
+)
+def test_a_t_whose_b_to_the_t_rounds_to_one_passes_the_limits(capsys, argv):
+    # b^t rounds to 1, so every pairing change is 0 and the limit reads 0.0, the
+    # angular invariant r = 0; the Richardson step refused these t (exit 2)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rep = json.loads(out)
+    if argv[0] == "cartan-limit":
+        assert rep["extrapolated"] == 0.0
+    else:
+        assert {c["name"]: c["residual"] for c in rep["checks"]}["cartan_limit_extrapolated"] == 0.0
+
+
 def test_combine_command(capsys):
     code, out, _ = run_cli(
         capsys, "combine", "--t", "0.5", "--r1", "0", "--r2", str(0.25 * math.pi), "--u", "0.5"
@@ -202,15 +219,15 @@ TR = ["--t", "0.5", "--r", "0.3"]
         ["model", "verify", *TR, "--suite", "limits", "--b-start", "inf"],
         ["model", "verify", *TR, "--suite", "limits", "--b-ratio", "nan"],
         ["model", "verify", *TR, "--suite", "limits", "--b-start", "1e-300"],
-        # element entries beyond float arithmetic, and a Richardson factor that rounds to 1
+        # element entries beyond float arithmetic, and a t at 0 or below it
         ["classify", "--lam", "1e400"],
         ["classify", "--lam", "1e-400"],
         ["classify", "--alpha", "1e400,1.5707963267948966"],
         ["maps", "--lam", "1e-400", "--sample", "2"],
         ["maps", "--lam", "1e160", "--sample", "1"],
         ["maps", "--lam", "1e-300", "--sample", "1"],
-        ["cartan-limit", "--t", "1e-17", "--r", "0"],
-        ["model", "verify", "--t", "1e-300", "--r", "0", "--suite", "limits"],
+        ["cartan-limit", "--t", "0", "--r", "0"],
+        ["model", "verify", "--t", "-1e-300", "--r", "0", "--suite", "limits"],
         # a mix of the two element forms is refused, not half read
         ["classify", "--alpha", "0,1", "--b", "5"],
         ["classify", "--lam", "2", "--alpha", "0,1"],
@@ -407,7 +424,7 @@ def cli_argv(draw) -> list[str]:
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(cli_argv())
-# element entries beyond float arithmetic, and a Richardson factor that rounds to 1
+# element entries beyond float arithmetic, and a t whose b^t rounds to 1
 @example(["classify", "--lam", "1e400"])
 @example(["classify", "--lam", "1e-400"])
 @example(["classify", "--alpha", "1e400,1.5707963267948966"])

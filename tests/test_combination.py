@@ -152,6 +152,9 @@ def test_endpoint_tautological_at_one_is_degenerate():
     m = endpoint_tautological(1.0)
     assert m.ctx.degenerate
     assert model_arg(m) == pytest.approx(math.pi / 2)
+    # K1 is exactly i, so the C-symbols are exactly null (cos(pi/2) made them 3.7e-16 and 1.2e-8)
+    assert m.ctx.k1 == 1j
+    assert m.ctx.c_pair(3, 3) == 0 and m.ctx.c_pair(1e8, 1e8) == 0
 
 
 @pytest.mark.parametrize("suite", ["relations", "kernel", "gram", "limits", "all"])

@@ -1,3 +1,4 @@
+import cmath
 import math
 from itertools import permutations
 
@@ -11,6 +12,7 @@ from horocomb.errors import DegenerateConfigurationError, UsageError, Validation
 from horocomb.hypgeo import (
     HermitianFormSpace,
     cartan_argument,
+    cartan_phase,
     classify_isometry,
     distance,
     minkowski_space,
@@ -82,6 +84,16 @@ def test_diagonal_form_self_adjointness_still_validated():
     with pytest.raises(ValidationError, match="self-adjoint"):
         HermitianFormSpace("complex", np.diag([1.0, -1.0 + 1e-6j, -1.0]))
     HermitianFormSpace("complex", np.diag([1.0, -1.0 + 1e-14j, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.diag([1.0, math.nan]), np.diag([1.0, -math.inf]), np.array([[1.0, math.nan], [math.nan, -1.0]])],
+)
+def test_form_refuses_a_non_finite_entry(matrix):
+    # every comparison with NaN is False, so diag(1, nan) read as signature (1, 1)
+    with pytest.raises(ValidationError, match="non-finite"):
+        HermitianFormSpace("complex", matrix)
 
 
 def test_non_diagonal_form_still_accepted_and_pairs_by_the_matrix():
@@ -239,6 +251,20 @@ def test_cartan_boundary_degenerate_configuration(h1):
     x = h1.point([1.0, 1.0 - 2e-12])
     with pytest.raises(DegenerateConfigurationError):
         cartan_argument(x, x, x)
+
+
+def test_cartan_phase_keeps_the_phase_of_a_product_beyond_the_float_range():
+    # the unscaled product of three pairings of modulus 1e200 overflows (to NaN here)
+    zs = [1e200 * cmath.exp(1j * a) for a in (0.3, -1.1, 0.5)]
+    assert not math.isfinite(abs(zs[0] * zs[1] * zs[2]))
+    assert cartan_phase(zs) == pytest.approx(-0.3, abs=1e-15)
+    assert cartan_phase([1e-200 * z for z in zs]) == pytest.approx(-0.3, abs=1e-15)
+
+
+def test_cartan_phase_of_a_zero_product_is_zero():
+    # signed zeros would give pi: (-2.2e-16 + 0j) * 0j * 0j is -0.0 + 0j
+    assert cartan_phase([complex(-2.2e-16, 0.0), 0j, 0j]) == 0.0
+    assert cartan_phase([0j, 0j, 0j]) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from horocomb.blockrep import RepModel, busemann_character_model, evaluate, model_cartan
+from horocomb.combination import endpoint_tautological
 from horocomb.errors import ValidationError
 from horocomb.invariants import (
     cartan_limit_estimate,
@@ -80,6 +81,9 @@ def test_model_cartan_at_is_the_angle_of_the_evaluated_elements(t, r):
         assert model_cartan_at(model, b) == want
 
 
+CLOSED_FORM_MODELS = [(0.5, 0.3), (0.3, 0.0), (0.7, 0.35 * math.pi), (1.0, 0.9), (0.01, 0.0157), (1.0, 0.0)]
+
+
 def closed_form_cartan(t, r, b):
     """Cart(rho(1,b) x, rho(1,-b) x, x) for b > 0 at 50 digits: with s = b^t,
     arg(1 + 2^(t-1) s e^{ir}) + 2 arg(1 + (s/2) e^{-ir})."""
@@ -92,7 +96,7 @@ def test_model_cartan_matches_its_closed_form_up_to_huge_b():
     # the product of the three pairings grows like b^(3t); unscaled, it
     # overflowed from b^t ~ 1e102 on (-pi/4 at (0.5, 0.3), b = 1e207)
     bs = np.geomspace(1e-3, 1e299, 80).tolist()
-    for t, r in [(0.5, 0.3), (0.3, 0.0), (0.7, 0.35 * math.pi), (1.0, 0.9), (0.01, 0.0157), (1.0, 0.0)]:
+    for t, r in CLOSED_FORM_MODELS:
         model = make(t, r)
         for b in bs:
             assert abs(model_cartan_at(model, b) - closed_form_cartan(t, r, b)) <= 4.5e-16, (t, r, b)
@@ -185,20 +189,35 @@ def test_cartan_slope_refuses_a_schedule_starting_below_one(start, slope):
         assert cartan_slope(model, schedule) == slope
 
 
-@pytest.mark.parametrize("t, r", [(0.5, 0.3), (0.9, 1.2), (1.0, 0.9)])
-def test_richardson_step_gains_three_orders_on_the_default_schedule(t, r):
-    # the error is (4 - 2^(1-t)) sin(r) b^-t + O(b^-2t), so the step's exponent is t
-    model = make(t, r)
-    est = cartan_limit_estimate(model, geometric_schedule())
-    raw = abs(est.points[-1][1] + model_arg(model))
-    assert abs(est.extrapolated + model_arg(model)) <= 1e-3 * raw
+@pytest.mark.parametrize("start, steps", [(1.0, 9), (1e290, 3)])
+@pytest.mark.parametrize("t, r", [*CLOSED_FORM_MODELS, (0.9, 1.2), (1.0, "endpoint")])
+def test_every_step_reads_the_limit_to_rounding(t, r, start, steps):
+    # each pairing is affine in b^t, so the phase of the three pairings' changes
+    # is the limit itself; the Richardson step missed it by 6.2e-3 at (0.01, 0.0157)
+    model = endpoint_tautological(1.0) if r == "endpoint" else make(t, r)
+    est = cartan_limit_estimate(model, geometric_schedule(start, 10.0, steps))
+    assert est.running[0] == est.points[0][1]
+    for v in est.running[1:]:
+        assert abs(v + model_arg(model)) <= 2e-15, v
 
 
 @pytest.mark.parametrize("t", [1e-17, 1e-300])
-def test_richardson_step_refuses_a_factor_that_rounds_to_one(t):
-    # 10^t == 1.0 in floats, so the step would divide by zero
-    with pytest.raises(ValidationError, match=f"t = {t!r} is too small"):
-        cartan_limit_estimate(make(t, 0.0), geometric_schedule(1.0, 10.0, 3))
+def test_a_t_so_small_that_b_to_the_t_rounds_to_one_reads_zero(t):
+    # every pairing change is exactly 0, whose phase is 0: within t*pi/2 of
+    # the limit, so nothing is refused (the Richardson step divided by 10^t - 1 = 0)
+    est = cartan_limit_estimate(make(t, 0.0), geometric_schedule(1.0, 10.0, 3))
+    assert est.running == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("t", [2.1e-16, 4.7e-16, 2.1e-15])
+@pytest.mark.parametrize("frac", [0.0, 0.5, 1.0])
+def test_a_change_of_a_rounding_size_reads_zero_not_its_noise(t, frac):
+    # where b^t moves by an ulp or two, a pairing change is rounding; read as
+    # it is, its phase was pi or pi/2 (at t = 4.7e-16 and 2.1e-16)
+    model = make(t, frac * t * math.pi / 2)
+    for schedule in (geometric_schedule(), geometric_schedule(2.0, 3.0, 12)):
+        est = cartan_limit_estimate(model, schedule)
+        assert all(abs(v + model_arg(model)) <= max(2e-15, t * math.pi / 2) for v in est.running[1:])
 
 
 def test_schedule_validation():

@@ -205,6 +205,12 @@ def test_signature_zero_band():
     assert signature_count(np.zeros((3, 3))) == (0, 3, 0)  # no scale: every eigenvalue is zero
 
 
+@pytest.mark.parametrize("mat", [np.diag([1.0, math.nan]), np.diag([1.0, math.inf]), [[1.0, math.nan], [math.nan, -1.0]]])
+def test_signature_counts_a_non_finite_matrix_in_no_class(mat):
+    # eigvalsh reads diag(1, nan) as two zero eigenvalues, which counted as (0, 2, 0)
+    assert signature_count(np.array(mat)) == (0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # pairing_matrix against the scalar pairing
 

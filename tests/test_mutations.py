@@ -21,7 +21,7 @@ import numpy as np
 from horocomb import blockrep, kernelspace, verification
 from horocomb.cli import main
 from horocomb.combination import make_representation
-from horocomb.invariants import geometric_schedule
+from horocomb.invariants import cartan_limit_estimate, geometric_schedule
 from horocomb.kernelspace import ETA1, KernelContext
 from horocomb.verification import (
     check,
@@ -193,6 +193,17 @@ def test_relation_family_passes_without_a_defect():
 
 def test_kernel_and_limits_pass_without_a_defect():
     assert failing_kernel_and_limits() == set()
+
+
+def test_a_shifted_last_angle_fails_the_raw_limit():
+    # the raw record has the extrapolated one's tolerance, 1e-3 here; its old
+    # max(tolerance, 2 b_max^(-t/2)) = 0.02 passed this shift of 5e-3
+    model = make_representation(0.5, 0.3)
+    est = cartan_limit_estimate(model, geometric_schedule())
+    b, v = est.points[-1]
+    shifted = dataclasses.replace(est, points=est.points[:-1] + ((b, v + 5e-3),))
+    verdicts = {c["name"]: c["pass"] for c in verification.limit_checks(model, shifted)}
+    assert verdicts == {"cartan_limit_raw": False, "cartan_limit_extrapolated": True}
 
 
 def test_block_k_without_conjugate_fails_every_relation(monkeypatch):

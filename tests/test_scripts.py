@@ -62,7 +62,7 @@ def test_cli_parity_prints_one_digest_that_two_runs_share():
     assert first == second and re.fullmatch(r"[0-9a-f]{64}\n", first)
     # one "<sha256> <argv>" line per probe, the same in both processes
     lines = first_err.splitlines()
-    assert first_err == second_err and len(lines) == 29
+    assert first_err == second_err and len(lines) == 30
     assert all(re.fullmatch(r"[0-9a-f]{64} [a-z].*", line) for line in lines)
 
 
